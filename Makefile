@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race verify lint fmt-check bench bench-all bench-compare bench-baseline trace-smoke server-smoke degrade-smoke stream-smoke workload-smoke chaos-smoke stats-smoke fuzz-short
+.PHONY: all build vet test race verify lint fmt-check bench bench-all bench-compare bench-baseline perfbench trace-smoke server-smoke degrade-smoke stream-smoke workload-smoke chaos-smoke stats-smoke fuzz-short
 
 # Packages with microbenchmarks, gated by bench-compare.
 BENCH_PKGS = ./internal/core/ ./internal/sparql/ ./internal/engine/ ./internal/store/
@@ -19,9 +19,10 @@ test:
 
 # Race-check the concurrency-heavy packages: the elastic request
 # handler, the executor's fail-fast paths, the resilient decorator,
-# the metrics registry, and the server daemon.
+# the metrics registry, the server daemon, and the endpoint engine's
+# pooled evaluations over the store's read views.
 race:
-	$(GO) test -race ./internal/federation/... ./internal/core/... ./internal/endpoint/... ./internal/obs/... ./internal/stats/... ./cmd/lusail-server/...
+	$(GO) test -race ./internal/federation/... ./internal/core/... ./internal/endpoint/... ./internal/obs/... ./internal/stats/... ./internal/engine/... ./internal/store/... ./cmd/lusail-server/...
 
 verify: build vet test race
 
@@ -62,6 +63,11 @@ bench-compare:
 # Rewrite the committed microbenchmark baseline from a fresh run.
 bench-baseline:
 	$(GO) test $(BENCH_PKGS) $(BENCH_ARGS) | $(GO) run ./cmd/lusail-benchcmp -baseline BENCH_ALLOC_BASELINE.json -update
+
+# The repository benchmark (perfbench/README.md): every workload, 30 s
+# each, answers checked against the union-store oracle.
+perfbench:
+	bash perfbench/run.sh --workload all --seed 1 --seconds 30
 
 # Regenerate every paper figure/table.
 bench-all:

@@ -183,7 +183,7 @@ func TestInterlinksResolveAcrossDatasets(t *testing.T) {
 				if tr.P.Value != c.pred {
 					continue
 				}
-				if len(stores[c.toIdx].Match(tr.O, rdf.Term{}, rdf.Term{})) > 0 {
+				if stores[c.toIdx].CountMatch(tr.O, rdf.Term{}, rdf.Term{}) > 0 {
 					found++
 				}
 			}

@@ -54,7 +54,7 @@ func TestGenerateShape(t *testing.T) {
 		if !st.Contains(rdf.T(UniversityIRI(u), rdf.IRI(rdf.RDFType), ClassUniversity)) {
 			t.Errorf("university %d missing its type triple", u)
 		}
-		if len(st.Match(UniversityIRI(u), PredName, rdf.Term{})) != 1 {
+		if st.CountMatch(UniversityIRI(u), PredName, rdf.Term{}) != 1 {
 			t.Errorf("university %d missing its name", u)
 		}
 	}
@@ -99,11 +99,14 @@ func TestReferencedUniversitiesTyped(t *testing.T) {
 func TestEveryCourseTaughtAndTaken(t *testing.T) {
 	g := Generate(DefaultConfig(1))[0]
 	st := store.FromGraph(g)
-	for _, tr := range st.Match(rdf.Term{}, rdf.IRI(rdf.RDFType), ClassCourse) {
-		if len(st.Match(rdf.Term{}, PredTeacherOf, tr.S)) == 0 {
+	for _, tr := range g {
+		if tr.P != rdf.IRI(rdf.RDFType) || tr.O != ClassCourse {
+			continue
+		}
+		if st.CountMatch(rdf.Term{}, PredTeacherOf, tr.S) == 0 {
 			t.Errorf("course %v has no teacher", tr.S)
 		}
-		if len(st.Match(rdf.Term{}, PredTakesCourse, tr.S)) == 0 {
+		if st.CountMatch(rdf.Term{}, PredTakesCourse, tr.S) == 0 {
 			t.Errorf("course %v has no students", tr.S)
 		}
 	}

@@ -52,7 +52,7 @@ func TestInterlinksResolve(t *testing.T) {
 		for _, tr := range g {
 			if tr.P == PredPossibleDrug || tr.P == PredGenericDrug || tr.P == PredSiderDrug {
 				count++
-				if len(drugbank.Match(tr.O, rdf.IRI(rdf.RDFType), ClassDrug)) != 1 {
+				if drugbank.CountMatch(tr.O, rdf.IRI(rdf.RDFType), ClassDrug) != 1 {
 					t.Fatalf("interlink %v does not resolve in DrugBank", tr.O)
 				}
 			}

@@ -3,6 +3,7 @@ package endpoint
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -291,5 +292,55 @@ func TestHTTPDataVersionAbsent(t *testing.T) {
 	plain.Close()
 	if _, ok, err := DataVersionOf(context.Background(), down); ok || err == nil {
 		t.Fatalf("DataVersionOf(unreachable) = (_, %v, %v), want (false, error)", ok, err)
+	}
+}
+
+// TestQueryBesideChurnDoesNotDeadlock runs a two-pattern query loop
+// beside a churn loop on one endpoint. An evaluation that took the
+// store's read lock again while holding it would block forever once a
+// writer queued between the two acquisitions; the engine holds one
+// read view per evaluation, so both loops must finish.
+func TestQueryBesideChurnDoesNotDeadlock(t *testing.T) {
+	st := store.New()
+	for i := 0; i < 200; i++ {
+		s := rdf.IRI(fmt.Sprintf("http://ex/s%d", i))
+		o := rdf.IRI(fmt.Sprintf("http://ex/o%d", i%20))
+		st.Add(rdf.T(s, rdf.IRI("http://ex/p"), o))
+		st.Add(rdf.T(o, rdf.IRI("http://ex/q"), rdf.Literal(fmt.Sprint(i%20))))
+	}
+	l := NewLocal("ep", st)
+	const query = `SELECT ?s ?v WHERE { ?s <http://ex/p> ?o . ?o <http://ex/q> ?v }`
+	stop := time.Now().Add(time.Second)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for time.Now().Before(stop) {
+			if _, err := l.Query(context.Background(), query); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		batch := churnGraph(4)
+		for i := 0; time.Now().Before(stop); i++ {
+			if i%2 == 0 {
+				l.ApplyChurn(batch, nil)
+			} else {
+				l.ApplyChurn(nil, batch)
+			}
+		}
+	}()
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("query and churn loops deadlocked on the store lock")
 	}
 }

@@ -6,6 +6,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"lusail/internal/rdf"
@@ -24,23 +25,25 @@ func New(st *store.Store) *Engine { return &Engine{st: st} }
 // Store returns the underlying store.
 func (e *Engine) Store() *store.Store { return e.st }
 
-// Eval evaluates q and returns its results.
+// Eval evaluates q and returns its results. The store's read lock is
+// held once, for the whole evaluation.
 func (e *Engine) Eval(q *sparql.Query) (*sparql.Results, error) {
+	v := e.st.View()
+	defer v.Release()
 	switch q.Form {
 	case sparql.AskForm:
-		rows, err := e.evalGroupLimited(q.Where, 1)
-		if err != nil {
-			return nil, err
-		}
-		return sparql.NewAskResult(len(rows) > 0), nil
+		r, where := compile(v, q.Where)
+		defer r.release()
+		r.evalGroup(where, true, r.hit)
+		return sparql.NewAskResult(r.found), nil
 	case sparql.SelectForm:
-		return e.evalSelect(q)
+		return evalSelect(v, q), nil
 	default:
 		return nil, fmt.Errorf("engine: unsupported query form %v", q.Form)
 	}
 }
 
-func (e *Engine) evalSelect(q *sparql.Query) (*sparql.Results, error) {
+func evalSelect(v store.View, q *sparql.Query) *sparql.Results {
 	// Fast path for the statistics queries federated engines send
 	// constantly: COUNT(*) over one triple pattern with no other
 	// operators maps straight onto the store's index sizes.
@@ -50,30 +53,142 @@ func (e *Engine) evalSelect(q *sparql.Query) (*sparql.Results, error) {
 		len(q.Where.Values) == 0 {
 		tp := q.Where.Patterns[0]
 		if !hasRepeatedVar(tp) {
-			term := func(el sparql.Elem) rdf.Term {
-				if el.IsVar() {
-					return rdf.Term{}
-				}
-				return el.Term
+			n := 0
+			s, sok := lookupElem(v, tp.S)
+			p, pok := lookupElem(v, tp.P)
+			o, ook := lookupElem(v, tp.O)
+			if sok && pok && ook {
+				n = v.Count(s, p, o)
 			}
-			n := e.st.CountMatch(term(tp.S), term(tp.P), term(tp.O))
-			return &sparql.Results{
-				Vars: []sparql.Var{q.CountVar},
-				Rows: []sparql.Binding{{q.CountVar: rdf.Integer(int64(n))}},
-			}, nil
+			return countRows(q, n)
 		}
 	}
-	// A row limit can be pushed into group evaluation only when no
-	// operation downstream of the group can drop or reorder rows.
-	limit := 0
-	if q.Limit >= 0 && !q.Distinct && !q.Count && q.Offset == 0 && len(q.OrderBy) == 0 {
-		limit = q.Limit
+	r, where := compile(v, q.Where)
+	defer r.release()
+	em := &r.em
+	if q.Count {
+		em.count, em.slots = true, append(em.slots, -1)
+		if q.CountArg != "" {
+			if em.slots[0] = r.lookupSlot(q.CountArg); em.slots[0] < 0 {
+				return countRows(q, 0)
+			}
+			em.distinct = q.CountDistinct
+		}
+		r.evalGroup(where, true, r.emitFn)
+		return countRows(q, em.n)
 	}
-	rows, err := e.evalGroupLimited(q.Where, limit)
-	if err != nil {
-		return nil, err
+	vars := q.ProjectedVars()
+	// ORDER BY keys outside the projection must reach the sort; such
+	// rows go through Finalize. Otherwise rows are emitted projected,
+	// DISTINCT is decided on ids, and without ORDER BY the OFFSET/LIMIT
+	// window stops evaluation early.
+	out := vars
+	for _, k := range q.OrderBy {
+		if r.lookupSlot(k.Var) >= 0 && !slices.Contains(out, k.Var) {
+			out = append(out[:len(out):len(out)], k.Var)
+		}
 	}
-	return Finalize(q, rows), nil
+	sorted := len(out) > len(vars)
+	if !sorted {
+		em.distinct = q.Distinct
+		if len(q.OrderBy) == 0 {
+			em.skip, em.limit = q.Offset, q.Limit
+		}
+	}
+	for _, v := range out {
+		em.slots = append(em.slots, r.lookupSlot(v))
+	}
+	if em.limit != 0 {
+		r.evalGroup(where, true, r.emitFn)
+	}
+	rows := em.decode(out)
+	if sorted {
+		return Finalize(q, rows)
+	}
+	if len(q.OrderBy) > 0 {
+		orderRows(rows, q.OrderBy)
+		rows = window(rows, q.Offset, q.Limit)
+	}
+	return &sparql.Results{Vars: vars, Rows: rows}
+}
+
+func lookupElem(v store.View, el sparql.Elem) (store.ID, bool) {
+	if el.IsVar() {
+		return store.Any, true
+	}
+	return v.Lookup(el.Term)
+}
+
+// emitter collects solution rows as the ids of its slots, applying
+// DISTINCT, OFFSET and LIMIT on ids; decode turns them into bindings
+// once evaluation ends, one map per row. A COUNT query only counts.
+type emitter struct {
+	r           *run
+	slots       []int32 // output slots, -1 for a variable never bound
+	distinct    bool
+	seen        map[string]struct{} // DISTINCT keys
+	skip, limit int                 // OFFSET, and LIMIT (-1: none)
+	out         []store.ID          // emitted rows, len(slots) wide
+	n           int                 // emitted rows
+	count       bool                // count rows binding slots[0] (all when -1)
+}
+
+func (em *emitter) emit() bool {
+	r := em.r
+	if em.count && em.slots[0] >= 0 && r.get(em.slots[0]) == store.Any {
+		return false
+	}
+	if em.distinct {
+		r.key = r.appendKey(r.key[:0], em.slots)
+		if _, dup := em.seen[string(r.key)]; dup {
+			return false
+		}
+		if em.seen == nil {
+			em.seen = make(map[string]struct{})
+		}
+		em.seen[string(r.key)] = struct{}{}
+	}
+	if em.skip > 0 {
+		em.skip--
+		return false
+	}
+	em.n++
+	if !em.count {
+		for _, s := range em.slots {
+			em.out = append(em.out, r.get(s))
+		}
+	}
+	return em.limit >= 0 && em.n >= em.limit
+}
+
+// decode turns the emitted rows into bindings of vars.
+func (em *emitter) decode(vars []sparql.Var) []sparql.Binding {
+	rows := make([]sparql.Binding, em.n)
+	w := len(vars)
+	for i := range rows {
+		b := make(sparql.Binding, w)
+		for c, x := range em.out[i*w : i*w+w] {
+			if x != store.Any {
+				b[vars[c]] = em.r.term(x)
+			}
+		}
+		rows[i] = b
+	}
+	return rows
+}
+
+// window applies OFFSET and LIMIT (-1: none).
+func window(rows []sparql.Binding, offset, limit int) []sparql.Binding {
+	if offset > 0 {
+		if offset >= len(rows) {
+			return nil
+		}
+		rows = rows[offset:]
+	}
+	if limit >= 0 && limit < len(rows) {
+		rows = rows[:limit]
+	}
+	return rows
 }
 
 // Finalize applies a query's solution modifiers — COUNT, ORDER BY,
@@ -103,16 +218,7 @@ func Finalize(q *sparql.Query, rows []sparql.Binding) *sparql.Results {
 	if q.Distinct {
 		res.Rows = dedupRows(res.Rows, vars)
 	}
-	if q.Offset > 0 {
-		if q.Offset >= len(res.Rows) {
-			res.Rows = nil
-		} else {
-			res.Rows = res.Rows[q.Offset:]
-		}
-	}
-	if q.Limit >= 0 && q.Limit < len(res.Rows) {
-		res.Rows = res.Rows[:q.Limit]
-	}
+	res.Rows = window(res.Rows, q.Offset, q.Limit)
 	return res
 }
 
@@ -152,6 +258,11 @@ func countResult(q *sparql.Query, rows []sparql.Binding) *sparql.Results {
 	} else {
 		n = len(rows)
 	}
+	return countRows(q, n)
+}
+
+// countRows is a COUNT query's one-row result.
+func countRows(q *sparql.Query, n int) *sparql.Results {
 	return &sparql.Results{
 		Vars: []sparql.Var{q.CountVar},
 		Rows: []sparql.Binding{{q.CountVar: rdf.Integer(int64(n))}},
@@ -197,175 +308,4 @@ func orderRows(rows []sparql.Binding, keys []sparql.OrderKey) {
 		}
 		return false
 	})
-}
-
-// existsEvaluator returns the callback used for FILTER EXISTS
-// evaluation: the group is evaluated with the outer binding as seed.
-func (e *Engine) existsEvaluator() sparql.ExistsEvaluator {
-	return func(g *sparql.GroupGraphPattern, b sparql.Binding) (bool, error) {
-		rows, err := e.evalGroupSeeded(g, []sparql.Binding{b}, 1, true)
-		if err != nil {
-			return false, err
-		}
-		return len(rows) > 0, nil
-	}
-}
-
-// evalGroupLimited evaluates a group from an empty seed.
-func (e *Engine) evalGroupLimited(g *sparql.GroupGraphPattern, limit int) ([]sparql.Binding, error) {
-	return e.evalGroupSeeded(g, []sparql.Binding{{}}, limit, true)
-}
-
-// evalGroupSeeded evaluates a group joined against the seed bindings.
-// limit > 0 caps the number of produced rows (safe because the cap is
-// applied after filters). When applyFilters is false, the group's own
-// top-level filters are skipped; the caller applies them (used by
-// OPTIONAL left-join semantics).
-func (e *Engine) evalGroupSeeded(g *sparql.GroupGraphPattern, seed []sparql.Binding, limit int, applyFilters bool) ([]sparql.Binding, error) {
-	if g == nil {
-		return seed, nil
-	}
-	rows := seed
-
-	// Simple streaming case: only triple patterns (+ filters). The BGP
-	// join applies filters per completed row and honors the limit.
-	if len(g.Unions) == 0 && len(g.Values) == 0 && len(g.Optionals) == 0 {
-		var filters []sparql.Expr
-		if applyFilters {
-			filters = g.Filters
-		}
-		return e.joinBGP(rows, g.Patterns, filters, limit)
-	}
-
-	// General case: materialize each part, then filter.
-	var err error
-	rows, err = e.joinBGP(rows, g.Patterns, nil, 0)
-	if err != nil {
-		return nil, err
-	}
-	for _, vb := range g.Values {
-		rows = joinRows(rows, valuesRows(vb))
-	}
-	for _, u := range g.Unions {
-		var alt []sparql.Binding
-		for _, a := range u.Alternatives {
-			r, err := e.evalGroupSeeded(a, []sparql.Binding{{}}, 0, true)
-			if err != nil {
-				return nil, err
-			}
-			alt = append(alt, r...)
-		}
-		rows = joinRows(rows, alt)
-	}
-	for _, o := range g.Optionals {
-		rows, err = e.leftJoin(rows, o)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if applyFilters {
-		rows, err = e.applyFilters(rows, g.Filters)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if limit > 0 && len(rows) > limit {
-		rows = rows[:limit]
-	}
-	return rows, nil
-}
-
-func valuesRows(vb *sparql.ValuesBlock) []sparql.Binding {
-	out := make([]sparql.Binding, 0, len(vb.Rows))
-	for _, row := range vb.Rows {
-		b := make(sparql.Binding, len(vb.Vars))
-		for i, v := range vb.Vars {
-			if i < len(row) && !row[i].IsZero() {
-				b[v] = row[i]
-			}
-		}
-		out = append(out, b)
-	}
-	return out
-}
-
-func (e *Engine) applyFilters(rows []sparql.Binding, filters []sparql.Expr) ([]sparql.Binding, error) {
-	if len(filters) == 0 {
-		return rows, nil
-	}
-	ev := e.existsEvaluator()
-	out := rows[:0]
-	for _, row := range rows {
-		keep := true
-		for _, f := range filters {
-			ok, err := sparql.EvalBool(f, row, ev)
-			if err != nil {
-				// SPARQL: expression errors make the filter fail.
-				keep = false
-				break
-			}
-			if !ok {
-				keep = false
-				break
-			}
-		}
-		if keep {
-			out = append(out, row)
-		}
-	}
-	return out, nil
-}
-
-// leftJoin implements OPTIONAL: LeftJoin(rows, P, F) where F is the
-// optional group's top-level filters evaluated over the merged
-// binding.
-func (e *Engine) leftJoin(rows []sparql.Binding, opt *sparql.GroupGraphPattern) ([]sparql.Binding, error) {
-	right, err := e.evalGroupSeeded(opt, []sparql.Binding{{}}, 0, false)
-	if err != nil {
-		return nil, err
-	}
-	// Hash the optional side on the shared certainly-bound variables
-	// so wide left sides do not degrade to a nested loop.
-	key := sharedCertainVars(rows, right)
-	var buckets map[string][]sparql.Binding
-	if len(key) > 0 {
-		buckets = make(map[string][]sparql.Binding, len(right))
-		for i, k := range sparql.KeyColumn(right, key) {
-			buckets[k] = append(buckets[k], right[i])
-		}
-	}
-	ev := e.existsEvaluator()
-	var out []sparql.Binding
-	scratch := sparql.GetKeyBuf()
-	defer sparql.PutKeyBuf(scratch)
-	for _, l := range rows {
-		candidates := right
-		if buckets != nil {
-			*scratch = l.AppendKey((*scratch)[:0], key)
-			candidates = buckets[string(*scratch)]
-		}
-		matched := false
-		for _, r := range candidates {
-			if !l.Compatible(r) {
-				continue
-			}
-			m := l.Merge(r)
-			ok := true
-			for _, f := range opt.Filters {
-				v, err := sparql.EvalBool(f, m, ev)
-				if err != nil || !v {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				matched = true
-				out = append(out, m)
-			}
-		}
-		if !matched {
-			out = append(out, l)
-		}
-	}
-	return out, nil
 }

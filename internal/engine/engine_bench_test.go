@@ -2,8 +2,10 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
+	"lusail/internal/benchdata/lubm"
 	"lusail/internal/rdf"
 	"lusail/internal/sparql"
 	"lusail/internal/store"
@@ -70,6 +72,36 @@ func BenchmarkEvalNotExists(b *testing.B) {
 		?p <http://ex/knows> ?q .
 		FILTER NOT EXISTS { ?q <http://ex/livesIn> <http://ex/city0> }
 	} LIMIT 1`)
+}
+
+// BenchmarkEvalValuesBound is the shape of Lusail's phase-2 bound
+// subqueries: one rdf:type pattern joined with a 100-row VALUES block
+// over 10k subjects.
+func BenchmarkEvalValuesBound(b *testing.B) {
+	var sb strings.Builder
+	sb.WriteString(`SELECT ?p ?c WHERE { ?p a <http://ex/Person> . ?p <http://ex/livesIn> ?c . VALUES ?p {`)
+	for i := 0; i < 100; i++ {
+		fmt.Fprintf(&sb, " <http://ex/person%d>", i*97)
+	}
+	sb.WriteString(" } }")
+	benchEval(b, 10000, sb.String())
+}
+
+// BenchmarkEvalStar6 runs LUBM Q1 — three type patterns and a
+// triangle of three links — over one generated university.
+func BenchmarkEvalStar6(b *testing.B) {
+	st := store.New()
+	for _, g := range lubm.Generate(lubm.DefaultConfig(1)) {
+		st.AddGraph(g)
+	}
+	e := New(st)
+	q := sparql.MustParse(lubm.Q1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Eval(q); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func BenchmarkParse(b *testing.B) {

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"lusail/internal/rdf"
@@ -432,4 +434,83 @@ func TestEvalFiltersAppliedToMaterializedGroups(t *testing.T) {
 			t.Errorf("Ann has no age; EXISTS should have filtered %v", row)
 		}
 	}
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestIntermediateRowsAllocateNothing: a join that enumerates n rows of
+// its first pattern but emits one row allocates the same for n = 1k and
+// n = 10k — rows that are not emitted cost no allocation.
+func TestIntermediateRowsAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		// The race detector makes sync.Pool drop items at random, so a
+		// pooled run is recompiled an unpredictable number of times.
+		t.Skip("allocation counts vary under the race detector")
+	}
+	allocs := func(n int) float64 {
+		st := store.New()
+		for i := 0; i < n; i++ {
+			st.Add(rdf.T(iri(fmt.Sprintf("a%d", i)), iri("p"), iri(fmt.Sprintf("b%d", i))))
+			// More q triples than p triples, so the join starts from p;
+			// only b0 has one.
+			st.Add(rdf.T(iri(fmt.Sprintf("x%d", i)), iri("q"), iri("c")))
+		}
+		st.Add(rdf.T(iri("b0"), iri("q"), iri("c")))
+		e := New(st)
+		q := sparql.MustParse(`SELECT ?a ?c WHERE { ?a <http://ex/p> ?b . ?b <http://ex/q> ?c }`)
+		if res, err := e.Eval(q); err != nil || res.Len() != 1 {
+			t.Fatalf("n=%d: rows=%v err=%v", n, res, err)
+		}
+		return testing.AllocsPerRun(100, func() {
+			if _, err := e.Eval(q); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(1000), allocs(10000)
+	if small != large {
+		t.Errorf("allocs/eval = %v for 1k intermediate rows, %v for 10k", small, large)
+	}
+}
+
+// TestConcurrentEvalsAgree runs a mix of query shapes from several
+// goroutines at once; evaluations share the pool of compiled runs, and
+// each must return what it returns alone.
+func TestConcurrentEvalsAgree(t *testing.T) {
+	e := uniEngine()
+	queries := []string{
+		`SELECT ?s ?p WHERE { ?s <http://ex/advisor> ?p . ?s <http://ex/takesCourse> ?c . ?p <http://ex/teacherOf> ?c }`,
+		`SELECT ?p ?u WHERE { VALUES (?p ?u) { (<http://ex/Tim> UNDEF) (UNDEF <http://ex/CMU>) (<http://ex/nobody> UNDEF) } ?p <http://ex/PhDDegreeFrom> ?u }`,
+		`SELECT ?p ?c WHERE { ?s <http://ex/advisor> ?p . OPTIONAL { ?p <http://ex/teacherOf> ?c } }`,
+		`SELECT DISTINCT ?p WHERE { ?s <http://ex/advisor> ?p . FILTER NOT EXISTS { ?p <http://ex/teacherOf> ?c } }`,
+		`SELECT ?x WHERE { { ?x <http://ex/teacherOf> <http://ex/DB> } UNION { ?x <http://ex/teacherOf> <http://ex/OS> } }`,
+		`SELECT (COUNT(DISTINCT ?u) AS ?n) WHERE { ?p <http://ex/PhDDegreeFrom> ?u }`,
+		`ASK { ?s <http://ex/advisor> ?p }`,
+	}
+	canon := func(res *sparql.Results) string { return fmt.Sprint(res.Ask, canonRows(res)) }
+	want := make([]string, len(queries))
+	for i, q := range queries {
+		want[i] = canon(eval(t, e, q))
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for n := 0; n < 50; n++ {
+				i := (w + n) % len(queries)
+				res, err := e.Eval(sparql.MustParse(queries[i]))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := canon(res); got != want[i] {
+					t.Errorf("query %d: got %q, want %q", i, got, want[i])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

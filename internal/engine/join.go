@@ -6,95 +6,6 @@ import (
 	"lusail/internal/sparql"
 )
 
-// certainVars returns the variables bound in every row.
-func certainVars(rows []sparql.Binding) map[sparql.Var]bool {
-	out := map[sparql.Var]bool{}
-	if len(rows) == 0 {
-		return out
-	}
-	for v := range rows[0] {
-		out[v] = true
-	}
-	for _, row := range rows[1:] {
-		for v := range out {
-			if _, ok := row[v]; !ok {
-				delete(out, v)
-			}
-		}
-		if len(out) == 0 {
-			break
-		}
-	}
-	return out
-}
-
-// sharedCertainVars computes the hash-join key variables for two row
-// sets: variables certainly bound on both sides.
-func sharedCertainVars(left, right []sparql.Binding) []sparql.Var {
-	lv := certainVars(left)
-	rv := certainVars(right)
-	var out []sparql.Var
-	for v := range lv {
-		if rv[v] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// joinRows computes the SPARQL join of two solution multisets with a
-// hash join on the shared certainly-bound variables; compatibility of
-// the remaining (possibly unbound) variables is re-checked per pair.
-func joinRows(left, right []sparql.Binding) []sparql.Binding {
-	if len(left) == 0 || len(right) == 0 {
-		return nil
-	}
-	key := sharedCertainVars(left, right)
-	if len(key) == 0 {
-		// No guaranteed join variables: nested loop with the full
-		// compatibility check (covers cartesian products and rows with
-		// optional variables).
-		var out []sparql.Binding
-		for _, l := range left {
-			for _, r := range right {
-				if l.Compatible(r) {
-					out = append(out, l.Merge(r))
-				}
-			}
-		}
-		return out
-	}
-	// Build on the smaller side.
-	build, probe := right, left
-	swapped := false
-	if len(left) < len(right) {
-		build, probe = left, right
-		swapped = true
-	}
-	// Build keys are rendered once up front; probe keys are rendered
-	// into a pooled scratch buffer and probed allocation-free.
-	idx := make(map[string][]sparql.Binding, len(build))
-	for i, k := range sparql.KeyColumn(build, key) {
-		idx[k] = append(idx[k], build[i])
-	}
-	var out []sparql.Binding
-	scratch := sparql.GetKeyBuf()
-	defer sparql.PutKeyBuf(scratch)
-	for _, pr := range probe {
-		*scratch = pr.AppendKey((*scratch)[:0], key)
-		for _, b := range idx[string(*scratch)] {
-			l, r := pr, b
-			if swapped {
-				l, r = b, pr
-			}
-			if l.Compatible(r) {
-				out = append(out, l.Merge(r))
-			}
-		}
-	}
-	return out
-}
-
 // SymmetricJoin is a progressive (pipelined) hash join: rows pushed on
 // either side are immediately probed against the rows accumulated on
 // the other side, so matches emit as soon as both halves have arrived

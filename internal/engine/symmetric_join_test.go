@@ -22,6 +22,19 @@ func symRows(v sparql.Var, pre string, n int, extra sparql.Var) []sparql.Binding
 	return out
 }
 
+// joinRows is the reference join: every compatible pair, merged.
+func joinRows(left, right []sparql.Binding) []sparql.Binding {
+	var out []sparql.Binding
+	for _, l := range left {
+		for _, r := range right {
+			if l.Compatible(r) {
+				out = append(out, l.Merge(r))
+			}
+		}
+	}
+	return out
+}
+
 func symCanon(rows []sparql.Binding, vars []sparql.Var) []string {
 	out := sparql.KeyColumn(rows, vars)
 	sort.Strings(out)

@@ -11,30 +11,35 @@ import (
 	"lusail/internal/rdf"
 )
 
-type id = uint32
-
-type encTriple struct{ s, p, o id }
+type encTriple struct{ s, p, o ID }
 
 // Store is an in-memory RDF dataset with SPO indexes and per-predicate
 // statistics. It is safe for concurrent use; writes take an exclusive
 // lock, reads a shared lock.
+//
+// Read locks are never nested. sync.RWMutex blocks new readers once a
+// writer waits, so a goroutine that took a second read lock while
+// holding one would deadlock against a writer (Add, Remove, churn)
+// queued between the two. Every method takes the lock at most once and
+// calls no other locking method while holding it; a query engine opens
+// one View for a whole evaluation and reads through it alone.
 type Store struct {
 	mu    sync.RWMutex
-	dict  map[rdf.Term]id
+	dict  map[rdf.Term]ID
 	terms []rdf.Term
 
 	triples []encTriple
 	set     map[encTriple]int32 // triple -> position in triples
 	dead    map[int32]struct{}  // removed positions (slots stay, lists don't)
 
-	sIdx map[id][]int32 // subject -> triple positions
-	pIdx map[id][]int32 // predicate -> triple positions
-	oIdx map[id][]int32 // object -> triple positions
+	sIdx map[ID][]int32 // subject -> triple positions
+	pIdx map[ID][]int32 // predicate -> triple positions
+	oIdx map[ID][]int32 // object -> triple positions
 
 	// statsOnce guards the lazily computed VoID-style statistics used
 	// by SPLENDID-like baselines.
 	statsMu sync.Mutex
-	stats   map[id]*PredicateStats
+	stats   map[ID]*PredicateStats
 }
 
 // PredicateStats summarizes one predicate, in the spirit of VoID
@@ -49,12 +54,12 @@ type PredicateStats struct {
 // New returns an empty store.
 func New() *Store {
 	return &Store{
-		dict: make(map[rdf.Term]id),
+		dict: make(map[rdf.Term]ID),
 		set:  make(map[encTriple]int32),
 		dead: make(map[int32]struct{}),
-		sIdx: make(map[id][]int32),
-		pIdx: make(map[id][]int32),
-		oIdx: make(map[id][]int32),
+		sIdx: make(map[ID][]int32),
+		pIdx: make(map[ID][]int32),
+		oIdx: make(map[ID][]int32),
 	}
 }
 
@@ -65,11 +70,11 @@ func FromGraph(g rdf.Graph) *Store {
 	return st
 }
 
-func (st *Store) intern(t rdf.Term) id {
+func (st *Store) intern(t rdf.Term) ID {
 	if i, ok := st.dict[t]; ok {
 		return i
 	}
-	i := id(len(st.terms))
+	i := ID(len(st.terms))
 	st.dict[t] = i
 	st.terms = append(st.terms, t)
 	return i
@@ -206,143 +211,18 @@ func (st *Store) decode(et encTriple) rdf.Triple {
 	return rdf.Triple{S: st.terms[et.s], P: st.terms[et.p], O: st.terms[et.o]}
 }
 
-// lookup returns the id of t and whether it is known. A zero term acts
-// as a wildcard and reports (0, true, true).
-func (st *Store) lookup(t rdf.Term) (i id, wild, ok bool) {
-	if t.IsZero() {
-		return 0, true, true
-	}
-	i, ok = st.dict[t]
-	return i, false, ok
-}
-
-// ForEachMatch calls fn for every triple matching the pattern, where a
-// zero Term is a wildcard. Iteration stops early when fn returns
-// false.
-func (st *Store) ForEachMatch(s, p, o rdf.Term, fn func(rdf.Triple) bool) {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	si, sw, sok := st.lookup(s)
-	pi, pw, pok := st.lookup(p)
-	oi, ow, ook := st.lookup(o)
-	if !sok || !pok || !ook {
-		return
-	}
-	match := func(et encTriple) bool {
-		return (sw || et.s == si) && (pw || et.p == pi) && (ow || et.o == oi)
-	}
-	// Fully bound: a set lookup.
-	if !sw && !pw && !ow {
-		et := encTriple{si, pi, oi}
-		if _, ok := st.set[et]; ok {
-			fn(st.decode(et))
-		}
-		return
-	}
-	// Pick the smallest applicable posting list.
-	var list []int32
-	switch {
-	case !sw && !ow:
-		a, b := st.sIdx[si], st.oIdx[oi]
-		if len(a) <= len(b) {
-			list = a
-		} else {
-			list = b
-		}
-	case !sw:
-		list = st.sIdx[si]
-	case !ow:
-		list = st.oIdx[oi]
-	case !pw:
-		list = st.pIdx[pi]
-	default:
-		for pos, et := range st.triples {
-			if _, gone := st.dead[int32(pos)]; gone {
-				continue
-			}
-			if !fn(st.decode(et)) {
-				return
-			}
-		}
-		return
-	}
-	for _, pos := range list {
-		et := st.triples[pos]
-		if match(et) {
-			if !fn(st.decode(et)) {
-				return
-			}
-		}
-	}
-}
-
-// Match materializes all triples matching the pattern.
-func (st *Store) Match(s, p, o rdf.Term) []rdf.Triple {
-	var out []rdf.Triple
-	st.ForEachMatch(s, p, o, func(t rdf.Triple) bool {
-		out = append(out, t)
-		return true
-	})
-	return out
-}
-
-// CountMatch counts matching triples without materializing them.
+// CountMatch counts the triples matching the pattern, where a zero
+// Term is a wildcard.
 func (st *Store) CountMatch(s, p, o rdf.Term) int {
-	st.mu.RLock()
-	// Fast paths for single-position patterns.
-	si, sw, sok := st.lookup(s)
-	pi, pw, pok := st.lookup(p)
-	oi, ow, ook := st.lookup(o)
-	if !sok || !pok || !ook {
-		st.mu.RUnlock()
-		return 0
-	}
-	switch {
-	case sw && pw && ow:
-		n := len(st.set)
-		st.mu.RUnlock()
-		return n
-	case sw && !pw && ow:
-		n := len(st.pIdx[pi])
-		st.mu.RUnlock()
-		return n
-	case !sw && pw && ow:
-		n := len(st.sIdx[si])
-		st.mu.RUnlock()
-		return n
-	case sw && pw && !ow:
-		n := len(st.oIdx[oi])
-		st.mu.RUnlock()
-		return n
-	}
-	st.mu.RUnlock()
-	n := 0
-	st.ForEachMatch(s, p, o, func(rdf.Triple) bool { n++; return true })
-	return n
-}
-
-// EstimateMatch returns an upper bound on the number of triples
-// matching the pattern using only index sizes; it never scans.
-func (st *Store) EstimateMatch(s, p, o rdf.Term) int {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	si, sw, sok := st.lookup(s)
-	pi, pw, pok := st.lookup(p)
-	oi, ow, ook := st.lookup(o)
+	v := st.View()
+	defer v.Release()
+	si, sok := v.lookupPattern(s)
+	pi, pok := v.lookupPattern(p)
+	oi, ook := v.lookupPattern(o)
 	if !sok || !pok || !ook {
 		return 0
 	}
-	est := len(st.set)
-	if !sw && len(st.sIdx[si]) < est {
-		est = len(st.sIdx[si])
-	}
-	if !pw && len(st.pIdx[pi]) < est {
-		est = len(st.pIdx[pi])
-	}
-	if !ow && len(st.oIdx[oi]) < est {
-		est = len(st.oIdx[oi])
-	}
-	return est
+	return v.Count(si, pi, oi)
 }
 
 // Predicates returns all distinct predicates in deterministic order.
@@ -395,10 +275,10 @@ func (st *Store) buildStats() {
 		return
 	}
 	st.mu.RLock()
-	stats := make(map[id]*PredicateStats, len(st.pIdx))
+	stats := make(map[ID]*PredicateStats, len(st.pIdx))
 	for pid, list := range st.pIdx {
-		subj := make(map[id]struct{})
-		obj := make(map[id]struct{})
+		subj := make(map[ID]struct{})
+		obj := make(map[ID]struct{})
 		for _, pos := range list {
 			et := st.triples[pos]
 			subj[et.s] = struct{}{}

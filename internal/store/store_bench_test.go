@@ -34,7 +34,14 @@ func BenchmarkMatchBySubject(b *testing.B) {
 	s := iri("s42")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st.Match(s, rdf.Term{}, rdf.Term{})
+		v := st.View()
+		si, _ := v.Lookup(s)
+		for it := v.Match(si, Any, Any); ; {
+			if _, _, _, ok := it.Next(); !ok {
+				break
+			}
+		}
+		v.Release()
 	}
 }
 

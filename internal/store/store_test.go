@@ -8,11 +8,46 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"lusail/internal/rdf"
 )
 
 func iri(s string) rdf.Term { return rdf.IRI("http://ex/" + s) }
+
+// match decodes every triple matching a term-space pattern (zero Term
+// = wildcard) through a view.
+func match(st *Store, s, p, o rdf.Term) []rdf.Triple {
+	v := st.View()
+	defer v.Release()
+	si, sok := v.lookupPattern(s)
+	pi, pok := v.lookupPattern(p)
+	oi, ook := v.lookupPattern(o)
+	if !sok || !pok || !ook {
+		return nil
+	}
+	var out []rdf.Triple
+	for it := v.Match(si, pi, oi); ; {
+		ts, tp, to, ok := it.Next()
+		if !ok {
+			return out
+		}
+		out = append(out, rdf.Triple{S: v.Term(ts), P: v.Term(tp), O: v.Term(to)})
+	}
+}
+
+// estimate is View.Estimate for a term-space pattern.
+func estimate(st *Store, s, p, o rdf.Term) int {
+	v := st.View()
+	defer v.Release()
+	si, sok := v.lookupPattern(s)
+	pi, pok := v.lookupPattern(p)
+	oi, ook := v.lookupPattern(o)
+	if !sok || !pok || !ook {
+		return 0
+	}
+	return v.Estimate(si, pi, oi)
+}
 
 func sampleStore() *Store {
 	st := New()
@@ -64,29 +99,64 @@ func TestMatchAllAccessPaths(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			got := st.Match(c.s, c.p, c.o)
+			got := match(st, c.s, c.p, c.o)
 			if len(got) != c.want {
 				t.Errorf("Match returned %d triples, want %d: %v", len(got), c.want, got)
 			}
 			if n := st.CountMatch(c.s, c.p, c.o); n != c.want {
 				t.Errorf("CountMatch = %d, want %d", n, c.want)
 			}
-			if est := st.EstimateMatch(c.s, c.p, c.o); est < c.want {
-				t.Errorf("EstimateMatch = %d underestimates %d", est, c.want)
+			if est := estimate(st, c.s, c.p, c.o); est < c.want {
+				t.Errorf("Estimate = %d underestimates %d", est, c.want)
 			}
 		})
 	}
 }
 
-func TestForEachMatchEarlyStop(t *testing.T) {
+// TestIterEarlyStop abandons an iterator midway: releasing the view
+// must free the store for writers.
+func TestIterEarlyStop(t *testing.T) {
 	st := sampleStore()
+	v := st.View()
 	n := 0
-	st.ForEachMatch(rdf.Term{}, rdf.Term{}, rdf.Term{}, func(rdf.Triple) bool {
-		n++
-		return n < 2
-	})
-	if n != 2 {
-		t.Errorf("early stop visited %d, want 2", n)
+	for it := v.Match(Any, Any, Any); n < 2; n++ {
+		if _, _, _, ok := it.Next(); !ok {
+			t.Fatal("scan ended early")
+		}
+	}
+	v.Release()
+	done := make(chan struct{})
+	go func() {
+		st.Add(rdf.T(iri("s9"), iri("p9"), iri("o9")))
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("writer blocked after the view was released")
+	}
+}
+
+// TestViewUnknownIDs checks that ids at or above NumTerms — which an
+// engine hands out to terms the store has never seen — match nothing.
+func TestViewUnknownIDs(t *testing.T) {
+	st := sampleStore()
+	v := st.View()
+	defer v.Release()
+	ghost := ID(v.NumTerms())
+	s1, _ := v.Lookup(iri("s1"))
+	p1, _ := v.Lookup(iri("p1"))
+	for _, pat := range [][3]ID{{ghost, Any, Any}, {Any, ghost, Any}, {Any, Any, ghost}, {s1, p1, ghost}, {ghost, p1, Any}} {
+		it := v.Match(pat[0], pat[1], pat[2])
+		if _, _, _, ok := it.Next(); ok {
+			t.Errorf("Match%v found a triple", pat)
+		}
+		if n := v.Count(pat[0], pat[1], pat[2]); n != 0 {
+			t.Errorf("Count%v = %d", pat, n)
+		}
+		if n := v.Estimate(pat[0], pat[1], pat[2]); n != 0 {
+			t.Errorf("Estimate%v = %d", pat, n)
+		}
 	}
 }
 
@@ -213,7 +283,7 @@ func TestQuickMatchAgainstNaive(t *testing.T) {
 					want++
 				}
 			}
-			if got := len(st.Match(s, p, o)); got != want {
+			if got := len(match(st, s, p, o)); got != want {
 				t.Logf("seed %d: Match(%v,%v,%v) = %d, want %d", seed, s, p, o, got, want)
 				return false
 			}
@@ -261,7 +331,7 @@ func TestRemoveEdgeCases(t *testing.T) {
 	if c := st.CountMatch(present.S, present.P, present.O); c != 0 {
 		t.Errorf("CountMatch on removed triple = %d", c)
 	}
-	if got := st.Match(iri("s1"), iri("p1"), zero); len(got) != 1 {
+	if got := match(st, iri("s1"), iri("p1"), zero); len(got) != 1 {
 		t.Errorf("s1/p1 rows after remove = %d, want 1", len(got))
 	}
 
@@ -311,7 +381,7 @@ func TestRemoveRetiresPredicate(t *testing.T) {
 	if ps := st.PredicateStats(iri("p2")); ps != nil && ps.Triples != 0 {
 		t.Errorf("extinct predicate stats = %+v", ps)
 	}
-	if c := st.EstimateMatch(zero, iri("p2"), zero); c != 0 {
-		t.Errorf("EstimateMatch on extinct predicate = %d", c)
+	if c := estimate(st, zero, iri("p2"), zero); c != 0 {
+		t.Errorf("Estimate on extinct predicate = %d", c)
 	}
 }
