@@ -83,10 +83,11 @@ trace-smoke:
 
 # Streaming-execution smoke test: race-check the pipelined executor,
 # the symmetric hash join, and the server's chunked JSON path —
-# streamed-vs-materialized equivalence, concurrent producers,
-# client-disconnect cancellation.
+# streamed-vs-drained agreement, concurrent producers, mid-query
+# re-planning, phase-2 ordering, failed-subquery cache hygiene,
+# EXPLAIN ANALYZE join steps, client-disconnect cancellation.
 stream-smoke:
-	$(GO) test -race -count=1 -run 'Stream|SymmetricJoin' ./internal/core/ ./internal/engine/ ./internal/sparql/ ./cmd/lusail-server/
+	$(GO) test -race -count=1 -run 'Stream|SymmetricJoin|Replan|ExplainAnalyze|FailedSubquery|Phase2Waits' ./internal/core/ ./internal/engine/ ./internal/sparql/ ./cmd/lusail-server/
 	@echo "stream smoke OK"
 
 # Graceful-degradation smoke test: run the availability sweep and

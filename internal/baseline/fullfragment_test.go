@@ -72,7 +72,8 @@ func randomFullQuery(r *rand.Rand) string {
 // TestQuickFullFragmentAllEngines is the repository's broadest
 // correctness property: randomized federations and randomized queries
 // over the full supported fragment, across every engine and Lusail
-// configuration, must match the union-graph oracle exactly.
+// configuration (streamed and materialized, cold and warm-cached),
+// must match the union-graph oracle exactly.
 func TestQuickFullFragmentAllEngines(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -118,24 +119,63 @@ func TestQuickFullFragmentAllEngines(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		check := func(name string, got *sparql.Results, err error) bool {
+			if err != nil {
+				t.Logf("seed %d engine %s: %v\n%s", seed, name, err, query)
+				return false
+			}
+			if cg := testfed.Canon(got); !reflect.DeepEqual(cg, cw) {
+				t.Logf("seed %d engine %s mismatch (%d vs %d rows)\n%s",
+					seed, name, len(cg), len(cw), query)
+				return false
+			}
+			return true
+		}
+		// Every Lusail configuration runs through both entry points:
+		// Execute, and ExecuteStream drained into one multiset. The
+		// cached, re-planning configuration runs cold and then warm,
+		// its repeat served from the subquery cache.
+		lusails := []core.Config{
+			{},
+			{TraversalDecomposer: true, DelayPolicy: core.DelayAll, BindBlockSize: 3},
+			{AssumeAllGlobal: true, DelayPolicy: core.DelayNone},
+			{SubqueryCacheSize: 8, ReplanOvershoot: 2},
+		}
+		for i, cfg := range lusails {
+			l := core.New(eps, cfg)
+			runs := 1
+			if cfg.SubqueryCacheSize > 0 {
+				runs = 2
+			}
+			for run := 0; run < runs; run++ {
+				name := fmt.Sprintf("lusail#%d run %d", i, run)
+				got, err := l.Execute(context.Background(), query)
+				if !check(name, got, err) {
+					return false
+				}
+				var rows []sparql.Binding
+				res, _, err := l.ExecuteStream(context.Background(), query,
+					func(_ []sparql.Var, chunk []sparql.Binding) error {
+						rows = append(rows, chunk...)
+						return nil
+					})
+				if err == nil {
+					res = &sparql.Results{Vars: res.Vars, Rows: rows}
+				}
+				if !check(name+" stream", res, err) {
+					return false
+				}
+			}
+		}
 		engines := []federation.Engine{
-			core.New(eps, core.Config{}),
-			core.New(eps, core.Config{TraversalDecomposer: true, DelayPolicy: core.DelayAll, BindBlockSize: 3}),
-			core.New(eps, core.Config{AssumeAllGlobal: true, DelayPolicy: core.DelayNone}),
 			fedx.New(eps, fedx.Config{BoundBlockSize: 4}),
 			splendid.New(eps, idx, splendid.Config{BindBlockSize: 3}),
 			hibiscus.New(eps, sum, fedx.Config{}),
 			federation.NewNaive(eps, federation.NewAskCache()),
 		}
-		for i, eng := range engines {
+		for _, eng := range engines {
 			got, err := eng.Execute(context.Background(), query)
-			if err != nil {
-				t.Logf("seed %d engine %d (%s): %v\n%s", seed, i, eng.Name(), err, query)
-				return false
-			}
-			if cg := testfed.Canon(got); !reflect.DeepEqual(cg, cw) {
-				t.Logf("seed %d engine %d (%s) mismatch (%d vs %d rows)\n%s",
-					seed, i, eng.Name(), len(cg), len(cw), query)
+			if !check(eng.Name(), got, err) {
 				return false
 			}
 		}

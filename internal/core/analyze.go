@@ -18,7 +18,7 @@ type SubqueryAnalysis struct {
 	// EstCard is the cost model's estimate the delay decision was made
 	// with.
 	EstCard float64
-	// ActualRows is the materialized relation's cardinality.
+	// ActualRows is the subquery result's cardinality.
 	ActualRows int64
 	// Latency is the subquery's wall-clock evaluation time (for
 	// phase-1 subqueries, the slowest of its per-endpoint requests).

@@ -89,6 +89,26 @@ func TestExplainAnalyzeJoinSteps(t *testing.T) {
 	}
 }
 
+// TestExplainAnalyzeLeftJoinSteps: each OPTIONAL group's left join is
+// one join step, its rows summed over every streamed chunk.
+func TestExplainAnalyzeLeftJoinSteps(t *testing.T) {
+	l, _ := newUniLusail(Config{})
+	an, err := l.ExplainAnalyze(context.Background(), `SELECT ?S ?P ?C WHERE {
+		?S <http://ex/advisor> ?P .
+		OPTIONAL { ?P <http://ex/teacherOf> ?C }
+	}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := an.String()
+	if !strings.Contains(out, "left-join group 0: 4 rows → 4 rows") {
+		t.Errorf("analysis missing the OPTIONAL group's left join:\n%s", out)
+	}
+	if lj := an.Trace.Root.FindAll("left-join"); len(lj) != 1 {
+		t.Errorf("left-join spans = %d, want 1 per OPTIONAL group", len(lj))
+	}
+}
+
 func TestExplainAnalyzeBadQuery(t *testing.T) {
 	l, _ := newUniLusail(Config{})
 	if _, err := l.ExplainAnalyze(context.Background(), "junk"); err == nil {

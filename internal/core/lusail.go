@@ -486,7 +486,7 @@ func (l *Lusail) InFlight() int64 {
 
 // Execute runs a federated SPARQL query.
 func (l *Lusail) Execute(ctx context.Context, query string) (*sparql.Results, error) {
-	res, _, err := l.executeCached(ctx, query, nil)
+	res, _, err := l.execute(ctx, query, nil, nil)
 	return res, err
 }
 
@@ -495,7 +495,7 @@ func (l *Lusail) Execute(ctx context.Context, query string) (*sparql.Results, er
 // private to this call, so concurrent executions on one Lusail
 // instance each observe exactly their own profile.
 func (l *Lusail) ExecuteMetrics(ctx context.Context, query string) (*sparql.Results, Metrics, error) {
-	return l.executeCached(ctx, query, nil)
+	return l.execute(ctx, query, nil, nil)
 }
 
 // ExecuteTraced runs a federated SPARQL query while recording a span
@@ -506,9 +506,16 @@ func (l *Lusail) ExecuteMetrics(ctx context.Context, query string) (*sparql.Resu
 // to the call. The trace is returned (partially filled) even when the
 // query errors out, so failures can be diagnosed from it.
 func (l *Lusail) ExecuteTraced(ctx context.Context, query string) (*sparql.Results, Metrics, *trace.Trace, error) {
+	return l.traced(ctx, func(ctx context.Context) (*sparql.Results, Metrics, error) {
+		return l.execute(ctx, query, nil, nil)
+	})
+}
+
+// traced runs one execution under the query's trace and stamps the
+// root span with the execution's totals.
+func (l *Lusail) traced(ctx context.Context, run func(context.Context) (*sparql.Results, Metrics, error)) (*sparql.Results, Metrics, *trace.Trace, error) {
 	tr := l.newQueryTrace(ctx)
-	ctx = trace.WithSpan(ctx, tr.Root)
-	res, m, err := l.executeCached(ctx, query, nil)
+	res, m, err := run(trace.WithSpan(ctx, tr.Root))
 	tr.Root.End()
 	tr.Root.Set("requests", int64(m.RemoteRequests()))
 	if res != nil {
@@ -548,193 +555,52 @@ func (l *Lusail) newQueryTrace(ctx context.Context) *trace.Trace {
 // successful completion.
 var errStreamStop = errors.New("stream: limit satisfied")
 
-// Streamable reports whether a parsed query can execute through the
-// pipelined streaming path: a SELECT whose solution modifiers commute
-// with chunked delivery. DISTINCT, COUNT, and ORDER BY all need the
-// whole result before the first row can be emitted; LIMIT/OFFSET
-// stream fine (the sink skips and truncates).
+// Streamable reports whether a parsed query can deliver its rows as
+// the executor produces them: a SELECT whose solution modifiers
+// commute with chunked delivery. DISTINCT, COUNT, and ORDER BY all
+// need the whole result before the first row can be emitted;
+// LIMIT/OFFSET stream fine (the sink skips and truncates).
 func streamable(q *sparql.Query) bool {
 	return q.Form == sparql.SelectForm && !q.Distinct && !q.Count && len(q.OrderBy) == 0
 }
 
 // ExecuteStream runs a federated SPARQL query, delivering result rows
-// through onChunk in bounded chunks as the streaming executor produces
-// them — the first chunk typically arrives while slower endpoints are
-// still answering, instead of after the last join. onChunk receives
-// the projected header (identical on every call) and a chunk of rows;
+// through onChunk in bounded chunks as the executor produces them —
+// the first chunk typically arrives while slower endpoints are still
+// answering, instead of after the last join. onChunk receives the
+// projected header (identical on every call) and a chunk of rows;
 // returning an error aborts the query. The returned Results summary
 // has empty Rows and Streamed set to the number of rows delivered
 // (Len() reports it), so metrics and logging see the true row count.
 //
 // Queries whose solution modifiers need the whole result first
-// (DISTINCT, COUNT, ORDER BY) and ASK queries fall back to the
-// materialized path; SELECT results are then delivered as one chunk,
-// so callers stream uniformly either way.
+// (DISTINCT, COUNT, ORDER BY) and ASK queries drain the stream and
+// finalize it; SELECT results are then delivered as one chunk, so
+// callers stream uniformly either way.
 func (l *Lusail) ExecuteStream(ctx context.Context, query string, onChunk StreamSink) (*sparql.Results, Metrics, error) {
-	q, err := sparql.Parse(query)
-	if err != nil {
-		return nil, Metrics{}, err
-	}
-	if !streamable(q) {
-		res, m, err := l.executeCached(ctx, query, nil)
-		if err != nil {
-			return nil, m, err
-		}
-		if !res.AskForm && len(res.Rows) > 0 {
-			if serr := onChunk(res.Vars, res.Rows); serr != nil {
-				return nil, m, serr
-			}
-		}
-		return res, m, nil
-	}
-	return l.executeStream(ctx, q, query, onChunk)
+	return l.execute(ctx, query, nil, onChunk)
 }
 
 // ExecuteStreamTraced is ExecuteStream recording a span tree, so
-// streamed executions are as diagnosable as materialized ones.
+// streamed executions are as diagnosable as drained ones.
 func (l *Lusail) ExecuteStreamTraced(ctx context.Context, query string, onChunk StreamSink) (*sparql.Results, Metrics, *trace.Trace, error) {
-	tr := l.newQueryTrace(ctx)
-	ctx = trace.WithSpan(ctx, tr.Root)
-	res, m, err := l.ExecuteStream(ctx, query, onChunk)
-	tr.Root.End()
-	tr.Root.Set("requests", int64(m.RemoteRequests()))
-	if res != nil {
-		tr.Root.Set("rows", int64(res.Len()))
-	}
-	if m.Retries > 0 {
-		tr.Root.Set("retries", int64(m.Retries))
-	}
-	if m.BreakerOpens > 0 {
-		tr.Root.Set("breaker_opens", int64(m.BreakerOpens))
-	}
-	if m.Hedges > 0 {
-		tr.Root.Set("hedges", int64(m.Hedges))
-	}
-	if m.DroppedEndpoints > 0 {
-		tr.Root.Set("dropped", int64(m.DroppedEndpoints))
-		tr.Root.Set("completeness", m.Completeness.String())
-	}
-	return res, m, tr, err
+	return l.traced(ctx, func(ctx context.Context) (*sparql.Results, Metrics, error) {
+		return l.execute(ctx, query, nil, onChunk)
+	})
 }
 
-// executeStream is the streamed counterpart of executeCached: the same
-// lifecycle (query log, fault counters, degradation state, metrics
-// attribution) wrapped around the pipelined executor, with the final
-// projection and LIMIT/OFFSET applied per chunk in the sink.
-func (l *Lusail) executeStream(ctx context.Context, q *sparql.Query, query string, onChunk StreamSink) (res *sparql.Results, m Metrics, err error) {
-	if l.cfg.QueryLog != nil {
-		id := l.cfg.QueryLog.QueryStarted(query)
-		root := trace.SpanFrom(ctx)
-		root.Set("qid", id)
-		defer func() {
-			rows := -1
-			if res != nil {
-				rows = res.Len()
-			}
-			root.End()
-			l.cfg.QueryLog.QueryFinished(id, query, m, rows, err, root)
-		}()
-	}
-	fc := endpoint.NewFaultCounters(endpoint.FaultCountersFrom(ctx))
-	ctx = endpoint.WithFaultCounters(ctx, fc)
-	var dg *endpoint.Degrade
-	if l.cfg.Degradation != endpoint.DegradeFail || l.cfg.QueryBudget > 0 {
-		var deadline time.Time
-		if l.cfg.QueryBudget > 0 {
-			deadline = time.Now().Add(l.cfg.QueryBudget)
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithDeadline(ctx, deadline)
-			defer cancel()
-		}
-		dg = endpoint.NewDegrade(l.cfg.Degradation, deadline)
-		ctx = endpoint.WithDegrade(ctx, dg)
-	}
-	defer func() {
-		m.Retries = int(fc.Retries())
-		m.BreakerOpens = int(fc.BreakerOpens())
-		m.Hedges = int(fc.Hedges())
-		if dg != nil {
-			m.DroppedEndpoints = dg.DropCount()
-			m.Completeness = dg.Completeness()
-		}
-		l.mu.Lock()
-		l.last = m
-		l.mu.Unlock()
-	}()
-	if l.cfg.DisableCache {
-		l.ClearCaches()
-		m.Staleness = StalenessFresh // nothing cached survives to be reused
-	} else {
-		// Fence before planning: version changes detected here
-		// invalidate the changed endpoints' cached state, so this
-		// query's reuse is coherent up to the configured window.
-		l.coherence.Refresh(ctx)
-		m.Staleness = l.coherence.Verdict()
-	}
-
-	proj := q.ProjectedVars()
-	emitted := 0
-	offset := q.Offset
-	sink := func(vars []sparql.Var, rows []sparql.Binding) error {
-		// Project each row to the query's header (copying, as the
-		// joined rows are shared with the executor's hash tables).
-		out := make([]sparql.Binding, 0, len(rows))
-		for _, row := range rows {
-			b := make(sparql.Binding, len(proj))
-			for _, v := range proj {
-				if t, ok := row[v]; ok {
-					b[v] = t
-				}
-			}
-			out = append(out, b)
-		}
-		if offset > 0 {
-			if len(out) <= offset {
-				offset -= len(out)
-				return nil
-			}
-			out = out[offset:]
-			offset = 0
-		}
-		if q.Limit >= 0 && emitted+len(out) > q.Limit {
-			out = out[:q.Limit-emitted]
-		}
-		if len(out) == 0 {
-			return nil
-		}
-		emitted += len(out)
-		if cerr := onChunk(proj, out); cerr != nil {
-			return cerr
-		}
-		if q.Limit >= 0 && emitted >= q.Limit {
-			return errStreamStop
-		}
-		return nil
-	}
-	verr := l.evalGroupStreamed(ctx, q.Where, proj, &m, sink)
-	if verr != nil && !errors.Is(verr, errStreamStop) {
-		return nil, m, verr
-	}
-	// Finalization proper (projection, LIMIT/OFFSET) already happened
-	// per chunk in the sink; the span keeps the trace contract — every
-	// query tree ends with a finalize node carrying the row count.
-	sp := trace.SpanFrom(ctx).StartChild("finalize")
-	res = &sparql.Results{Vars: proj, Streamed: emitted}
-	res.Completeness = dg.Completeness()
-	sp.Set("rows", int64(emitted))
-	sp.End()
-	return res, m, nil
-}
-
-// executeCached is Execute with an optional shared subquery-result
-// cache (multi-query optimization). The returned Metrics are the
-// call's own; the LastMetrics slot is additionally updated for
+// execute is the one query lifecycle: query log, fault counters,
+// degradation state and query budget, the coherence fence, and
+// metrics attribution, wrapped around the streaming executor. With
+// onChunk nil (or a query that is not streamable) the stream is
+// drained and finalized (DISTINCT, ORDER BY, COUNT, ASK, projection,
+// LIMIT/OFFSET); otherwise rows are projected and LIMIT/OFFSET applied
+// per chunk. sqCache is the subquery-result cache to share (nil = the
+// engine's persistent one, if configured). The returned Metrics are
+// the call's own; the LastMetrics slot is additionally updated for
 // sequential callers.
-func (l *Lusail) executeCached(ctx context.Context, query string, sqCache *SubqueryCache) (res *sparql.Results, m Metrics, err error) {
+func (l *Lusail) execute(ctx context.Context, query string, sqCache *SubqueryCache, onChunk StreamSink) (res *sparql.Results, m Metrics, err error) {
 	if sqCache == nil {
-		// The persistent cross-query cache (Config.SubqueryCacheSize)
-		// backs every standalone execution; nil without it, which
-		// disables subquery reuse outside ExecuteBatch.
 		sqCache = l.sqCache
 	}
 	if l.cfg.QueryLog != nil {
@@ -798,10 +664,33 @@ func (l *Lusail) executeCached(ctx context.Context, query string, sqCache *Subqu
 		l.ClearCaches()
 		m.Staleness = StalenessFresh // nothing cached survives to be reused
 	} else {
+		// Fence before planning: version changes detected here
+		// invalidate the changed endpoints' cached state, so this
+		// query's reuse is coherent up to the configured window.
 		l.coherence.Refresh(ctx)
 		m.Staleness = l.coherence.Verdict()
 	}
 
+	if onChunk != nil && streamable(q) {
+		res, err = l.stream(ctx, q, &m, sqCache, onChunk)
+	} else {
+		res, err = l.drain(ctx, q, &m, sqCache)
+		if err == nil && onChunk != nil && !res.AskForm && len(res.Rows) > 0 {
+			err = onChunk(res.Vars, res.Rows)
+		}
+	}
+	if err != nil {
+		return nil, m, err
+	}
+	// Annotate last so every result form carries the report.
+	res.Completeness = dg.Completeness()
+	return res, m, nil
+}
+
+// drain collects the query's whole solution stream and finalizes it:
+// DISTINCT, ORDER BY, COUNT, projection and LIMIT/OFFSET, or the ASK
+// verdict.
+func (l *Lusail) drain(ctx context.Context, q *sparql.Query, m *Metrics, sqCache *SubqueryCache) (*sparql.Results, error) {
 	needed := q.ProjectedVars()
 	for _, k := range q.OrderBy {
 		needed = append(needed, k.Var)
@@ -809,25 +698,75 @@ func (l *Lusail) executeCached(ctx context.Context, query string, sqCache *Subqu
 	if q.Count && q.CountArg != "" {
 		needed = append(needed, q.CountArg)
 	}
-
-	rows, _, err := l.evalGroup(ctx, q.Where, needed, &m, sqCache)
+	rows, _, err := l.evalGroup(ctx, q.Where, needed, m, sqCache)
 	if err != nil {
-		return nil, m, err
+		return nil, err
 	}
-
 	t := time.Now()
 	sp := trace.SpanFrom(ctx).StartChild("finalize")
-	res = engine.Finalize(q, rows)
+	res := engine.Finalize(q, rows)
 	if q.Form == sparql.AskForm {
 		res = sparql.NewAskResult(len(rows) > 0)
 	}
-	// Annotate after the ASK replacement so every result form carries
-	// the report.
-	res.Completeness = dg.Completeness()
 	sp.Set("rows", int64(res.Len()))
 	sp.End()
 	m.Execution += time.Since(t)
-	return res, m, nil
+	return res, nil
+}
+
+// stream delivers a streamable query's rows to onChunk as the executor
+// produces them, projecting each row and applying OFFSET and LIMIT per
+// chunk; a satisfied LIMIT stops the execution early.
+func (l *Lusail) stream(ctx context.Context, q *sparql.Query, m *Metrics, sqCache *SubqueryCache, onChunk StreamSink) (*sparql.Results, error) {
+	proj := q.ProjectedVars()
+	emitted := 0
+	offset := q.Offset
+	sink := func(vars []sparql.Var, rows []sparql.Binding) error {
+		// Project each row to the query's header (copying, as the
+		// joined rows are shared with the executor's hash tables).
+		out := make([]sparql.Binding, 0, len(rows))
+		for _, row := range rows {
+			b := make(sparql.Binding, len(proj))
+			for _, v := range proj {
+				if t, ok := row[v]; ok {
+					b[v] = t
+				}
+			}
+			out = append(out, b)
+		}
+		if offset > 0 {
+			if len(out) <= offset {
+				offset -= len(out)
+				return nil
+			}
+			out = out[offset:]
+			offset = 0
+		}
+		if q.Limit >= 0 && emitted+len(out) > q.Limit {
+			out = out[:q.Limit-emitted]
+		}
+		if len(out) == 0 {
+			return nil
+		}
+		emitted += len(out)
+		if cerr := onChunk(proj, out); cerr != nil {
+			return cerr
+		}
+		if q.Limit >= 0 && emitted >= q.Limit {
+			return errStreamStop
+		}
+		return nil
+	}
+	if _, err := l.runGroup(ctx, q.Where, proj, m, sqCache, sink); err != nil && !errors.Is(err, errStreamStop) {
+		return nil, err
+	}
+	// Finalization proper (projection, LIMIT/OFFSET) already happened
+	// per chunk in the sink; the span keeps the trace contract — every
+	// query tree ends with a finalize node carrying the row count.
+	sp := trace.SpanFrom(ctx).StartChild("finalize")
+	sp.Set("rows", int64(emitted))
+	sp.End()
+	return &sparql.Results{Vars: proj, Streamed: emitted}, nil
 }
 
 // startPhase opens a traced phase span with its own fault-counter
@@ -864,8 +803,8 @@ func endPhase(sp *trace.Span, fc *endpoint.FaultCounters) {
 // groupPlan is the fully-analyzed execution plan of one group graph
 // pattern: the decomposed subqueries with sources, estimates, and
 // delay marks, the pre-materialized extra relations (UNION, VALUES,
-// nested OPTIONAL groups), and the residual filters. The materialized
-// and the streaming executors both consume it.
+// nested OPTIONAL groups), and the residual filters, as the executor
+// consumes them.
 type groupPlan struct {
 	all           []*Subquery
 	extra         []*Relation
@@ -878,45 +817,35 @@ type groupPlan struct {
 	emptyVars []sparql.Var
 }
 
-// evalGroup runs the full Lusail pipeline for one group graph pattern
-// and returns its solution rows and their header variables.
-func (l *Lusail) evalGroup(ctx context.Context, g *sparql.GroupGraphPattern, needed []sparql.Var, m *Metrics, sqCache *SubqueryCache) ([]sparql.Binding, []sparql.Var, error) {
+// runGroup runs the full Lusail pipeline for one group graph pattern,
+// streaming its solution rows into sink, and returns their header.
+func (l *Lusail) runGroup(ctx context.Context, g *sparql.GroupGraphPattern, needed []sparql.Var, m *Metrics, sqCache *SubqueryCache, sink StreamSink) ([]sparql.Var, error) {
 	p, err := l.planGroup(ctx, g, needed, m, sqCache)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if p.empty {
-		return nil, p.emptyVars, nil
+		return p.emptyVars, nil
 	}
 	// ---- Phase: execution (SAPE) ---------------------------------
 	t := time.Now()
-	result, stats, err := l.executor.RunCached(ctx, p.all, p.extra, p.globalFilters, p.optFilters, sqCache)
+	stats, err := l.executor.Run(ctx, p.all, p.extra, p.globalFilters, p.optFilters, sqCache, sink)
+	addExecStats(m, stats)
+	m.Execution += time.Since(t)
+	return planVars(p.all, p.extra), err
+}
+
+// evalGroup is runGroup drained into one row slice.
+func (l *Lusail) evalGroup(ctx context.Context, g *sparql.GroupGraphPattern, needed []sparql.Var, m *Metrics, sqCache *SubqueryCache) ([]sparql.Binding, []sparql.Var, error) {
+	var rows []sparql.Binding
+	vars, err := l.runGroup(ctx, g, needed, m, sqCache, func(_ []sparql.Var, chunk []sparql.Binding) error {
+		rows = append(rows, chunk...)
+		return nil
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	addExecStats(m, stats)
-	m.Execution += time.Since(t)
-	return result.Rows, result.Vars, nil
-}
-
-// evalGroupStreamed is evalGroup with the SAPE execution phase
-// replaced by the pipelined streaming executor: final rows flow to
-// sink in chunks as they are produced instead of materializing.
-func (l *Lusail) evalGroupStreamed(ctx context.Context, g *sparql.GroupGraphPattern, needed []sparql.Var, m *Metrics, sink StreamSink) error {
-	p, err := l.planGroup(ctx, g, needed, m, l.sqCache)
-	if err != nil {
-		return err
-	}
-	if p.empty {
-		return nil
-	}
-	t := time.Now()
-	stats, err := l.executor.RunStreamed(ctx, p.all, p.extra, p.globalFilters, p.optFilters, l.sqCache, sink)
-	if stats != nil {
-		addExecStats(m, stats)
-	}
-	m.Execution += time.Since(t)
-	return err
+	return rows, vars, nil
 }
 
 func addExecStats(m *Metrics, stats *ExecStats) {

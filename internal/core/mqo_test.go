@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,6 +24,24 @@ func keyEPs(names ...string) []endpoint.Endpoint {
 		eps[i] = endpoint.NewLocal(n, store.New())
 	}
 	return eps
+}
+
+// put retains rel for key, bypassing Do: a side channel that stores
+// while a computation for the same key is in flight.
+func (c *SubqueryCache) put(key string, rel *Relation) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.storeLocked(key, snapshotRelation(rel))
+}
+
+// has reports whether a strict caller would reuse the entry for key,
+// with the same expiry, eviction-order and fence side effects as a
+// lookup through Do (but no hit or miss counted).
+func (c *SubqueryCache) has(key string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, _, ok := c.lookupLocked(key, false)
+	return ok
 }
 
 func TestSubqueryCacheSingleFlight(t *testing.T) {
@@ -250,13 +270,13 @@ func TestSubqueryCacheTTLExpiry(t *testing.T) {
 	c := NewBoundedSubqueryCache(0, time.Minute)
 	now := time.Unix(0, 0)
 	c.now = func() time.Time { return now }
-	c.Store("k", relOf([]sparql.Var{"s"}, b("s", "1")))
+	c.put("k", relOf([]sparql.Var{"s"}, b("s", "1")))
 
-	if _, ok := c.Lookup(context.Background(), "k", false); !ok {
+	if !c.has("k") {
 		t.Fatal("fresh entry must hit")
 	}
 	now = now.Add(2 * time.Minute)
-	if _, ok := c.Lookup(context.Background(), "k", false); ok {
+	if c.has("k") {
 		t.Fatal("expired entry served")
 	}
 	st := c.Stats()
@@ -268,20 +288,20 @@ func TestSubqueryCacheTTLExpiry(t *testing.T) {
 func TestSubqueryCacheLRUBound(t *testing.T) {
 	c := NewBoundedSubqueryCache(2, 0)
 	rel := relOf([]sparql.Var{"s"}, b("s", "1"))
-	c.Store("a", rel)
-	c.Store("b", rel)
+	c.put("a", rel)
+	c.put("b", rel)
 	// Touch "a" so "b" is the least recently used.
-	if _, ok := c.Lookup(context.Background(), "a", false); !ok {
+	if !c.has("a") {
 		t.Fatal("lookup a")
 	}
-	c.Store("c", rel)
+	c.put("c", rel)
 	if c.Len() != 2 {
 		t.Fatalf("len = %d, want 2", c.Len())
 	}
-	if _, ok := c.Lookup(context.Background(), "b", false); ok {
+	if c.has("b") {
 		t.Error("LRU entry b survived past the bound")
 	}
-	if _, ok := c.Lookup(context.Background(), "a", false); !ok {
+	if !c.has("a") {
 		t.Error("recently-used entry a evicted")
 	}
 	if st := c.Stats(); st.Evictions != 1 {
@@ -296,14 +316,14 @@ func TestSubqueryCacheInvalidateEndpoint(t *testing.T) {
 	ab := SubqueryKey(&Subquery{Patterns: patterns, Sources: []int{0, 1}}, eps)
 	cOnly := SubqueryKey(&Subquery{Patterns: patterns, Sources: []int{2}}, eps)
 	rel := relOf([]sparql.Var{"s"}, b("s", "1"))
-	c.Store(ab, rel)
-	c.Store(cOnly, rel)
+	c.put(ab, rel)
+	c.put(cOnly, rel)
 
 	c.InvalidateEndpoint("a")
-	if _, ok := c.Lookup(context.Background(), ab, false); ok {
+	if c.has(ab) {
 		t.Error("entry sourced from invalidated endpoint survived")
 	}
-	if _, ok := c.Lookup(context.Background(), cOnly, false); !ok {
+	if !c.has(cOnly) {
 		t.Error("entry not sourced from invalidated endpoint dropped")
 	}
 }
@@ -546,16 +566,16 @@ func TestSubqueryCacheTTLBoundaryExact(t *testing.T) {
 	c := NewBoundedSubqueryCache(0, time.Minute)
 	now := time.Unix(1000, 0)
 	c.now = func() time.Time { return now }
-	c.Store("k", relOf([]sparql.Var{"s"}, b("s", "1")))
+	c.put("k", relOf([]sparql.Var{"s"}, b("s", "1")))
 
 	// One nanosecond before the boundary: still valid.
 	now = time.Unix(1000, 0).Add(time.Minute - time.Nanosecond)
-	if _, ok := c.Lookup(context.Background(), "k", false); !ok {
+	if !c.has("k") {
 		t.Fatal("entry expired one tick before its boundary")
 	}
 	// Exactly at the boundary: expired.
 	now = time.Unix(1000, 0).Add(time.Minute)
-	if _, ok := c.Lookup(context.Background(), "k", false); ok {
+	if c.has("k") {
 		t.Fatal("entry served at its exact expiry instant")
 	}
 	if st := c.Stats(); st.Expirations != 1 || st.Entries != 0 {
@@ -611,7 +631,7 @@ func TestSubqueryCacheTTLExpiresDuringWaiterRetry(t *testing.T) {
 	// While the waiter is blocked: a side channel stores an entry for
 	// the same key, and the clock jumps past that entry's expiry before
 	// the leader fails.
-	c.Store("k", relOf([]sparql.Var{"s"}, b("s", "stale")))
+	c.put("k", relOf([]sparql.Var{"s"}, b("s", "stale")))
 	setNow(base.Add(2 * time.Minute))
 	close(release)
 
@@ -633,5 +653,90 @@ func TestSubqueryCacheTTLExpiresDuringWaiterRetry(t *testing.T) {
 	}
 	if st := c.Stats(); st.Expirations != 1 {
 		t.Errorf("expirations = %d, want 1 (the mid-wait entry)", st.Expirations)
+	}
+}
+
+// failSwitch fails every phase-1 SELECT mentioning substr while on is
+// set (COUNT probes pass, so planning succeeds).
+type failSwitch struct {
+	endpoint.Endpoint
+	substr string
+	on     atomic.Bool
+}
+
+func (f *failSwitch) Query(ctx context.Context, q string) (*sparql.Results, error) {
+	if f.on.Load() && strings.HasPrefix(q, "SELECT") && !strings.Contains(q, "COUNT") && strings.Contains(q, f.substr) {
+		return nil, errors.New("injected failure")
+	}
+	return f.Endpoint.Query(ctx, q)
+}
+
+// Regression: a subquery whose evaluation failed must leave no trace
+// that outlives the failed query — no cache entry (a later query would
+// replay the surviving endpoints' rows as the complete answer) and no
+// calibration observation (the partial count is not an actual). The
+// streaming collector used to fall through after the failure, store
+// the partial relation and observe it.
+func TestFailedSubqueryNotCachedOrObserved(t *testing.T) {
+	ep1, ep2 := testfed.Universities()
+	down := &failSwitch{Endpoint: ep2, substr: "advisor"}
+	down.on.Store(true)
+	eps := []endpoint.Endpoint{ep1, down}
+
+	// The advisor subquery is not the streamed tail (smaller estimate),
+	// so it completes as a materialized relation.
+	tail := &Subquery{
+		Patterns: sparql.MustParse(`SELECT * WHERE { ?S <http://ex/takesCourse> ?C }`).Where.Patterns,
+		Sources:  []int{0, 1}, ProjVars: []sparql.Var{"C", "S"}, OptionalGroup: -1, EstCard: 100,
+	}
+	adv := &Subquery{
+		ID:       1,
+		Patterns: sparql.MustParse(`SELECT * WHERE { ?S <http://ex/advisor> ?P }`).Where.Patterns,
+		Sources:  []int{0, 1}, ProjVars: []sparql.Var{"P", "S"}, OptionalGroup: -1, EstCard: 2,
+	}
+	ex := NewExecutor(eps)
+	var observed []*Subquery
+	var mu sync.Mutex
+	ex.Observe = func(sq *Subquery, _ int) {
+		mu.Lock()
+		observed = append(observed, sq)
+		mu.Unlock()
+	}
+	c := NewSubqueryCache()
+	if _, _, err := runDrained(context.Background(), ex, []*Subquery{tail, adv}, nil, nil, nil, c); err == nil {
+		t.Fatal("failed subquery went unnoticed")
+	}
+	if c.has(SubqueryKey(adv, eps)) {
+		t.Error("the failed subquery's partial relation was cached")
+	}
+	for _, sq := range observed {
+		if sq == adv {
+			t.Error("the failed subquery's partial row count was observed")
+		}
+	}
+
+	// End to end: once the endpoint recovers, the next query is exact.
+	l := New(eps, Config{SubqueryCacheSize: 16, DelayPolicy: DelayNone})
+	var rows []sparql.Binding
+	collect := func(_ []sparql.Var, chunk []sparql.Binding) error {
+		rows = append(rows, chunk...)
+		return nil
+	}
+	if _, _, err := l.ExecuteStream(context.Background(), testfed.Qa, collect); err == nil {
+		t.Fatal("query over the failing endpoint succeeded")
+	}
+	down.on.Store(false)
+	rows = nil
+	res, _, err := l.ExecuteStream(context.Background(), testfed.Qa, collect)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := New([]endpoint.Endpoint{ep1, ep2}, Config{}).Execute(context.Background(), testfed.Qa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := &sparql.Results{Vars: res.Vars, Rows: rows}
+	if !reflect.DeepEqual(testfed.Canon(got), testfed.Canon(want)) {
+		t.Errorf("query after recovery = %v, want %v", testfed.Canon(got), testfed.Canon(want))
 	}
 }

@@ -170,33 +170,58 @@ func HashJoin(a, b *Relation, workers int) *Relation {
 // semantics). filterOK reports whether a merged row passes the
 // OPTIONAL group's residual filters.
 func LeftJoin(left, right *Relation, filterOK func(sparql.Binding) bool) *Relation {
-	out := &Relation{
-		Vars:       mergeVarsUnique(left.Vars, right.Vars),
-		Partitions: left.Partitions,
+	lj := newLeftJoiner(left.Vars, right, filterOK)
+	return &Relation{Vars: lj.vars, Rows: lj.join(left.Rows), Partitions: left.Partitions}
+}
+
+// leftJoiner is a left join whose right side is indexed once, so a
+// left side that arrives in chunks is joined chunk by chunk.
+type leftJoiner struct {
+	vars     []sparql.Var // output header
+	key      []sparql.Var
+	idx      map[string][]sparql.Binding
+	filterOK func(sparql.Binding) bool
+}
+
+// newLeftJoiner indexes right for left rows with header leftVars.
+func newLeftJoiner(leftVars []sparql.Var, right *Relation, filterOK func(sparql.Binding) bool) *leftJoiner {
+	lj := &leftJoiner{
+		vars:     mergeVarsUnique(leftVars, right.Vars),
+		idx:      make(map[string][]sparql.Binding, len(right.Rows)),
+		filterOK: filterOK,
 	}
-	key := left.SharedVars(right)
-	idx := make(map[string][]sparql.Binding, len(right.Rows))
-	for i, k := range sparql.KeyColumn(right.Rows, key) {
-		idx[k] = append(idx[k], right.Rows[i])
+	for _, v := range leftVars {
+		if right.HasVar(v) {
+			lj.key = append(lj.key, v)
+		}
 	}
+	for i, k := range sparql.KeyColumn(right.Rows, lj.key) {
+		lj.idx[k] = append(lj.idx[k], right.Rows[i])
+	}
+	return lj
+}
+
+// join left-joins one batch of left rows.
+func (lj *leftJoiner) join(left []sparql.Binding) []sparql.Binding {
+	var out []sparql.Binding
 	scratch := sparql.GetKeyBuf()
 	defer sparql.PutKeyBuf(scratch)
-	for _, l := range left.Rows {
+	for _, l := range left {
 		matched := false
-		*scratch = l.AppendKey((*scratch)[:0], key)
-		for _, r := range idx[string(*scratch)] {
+		*scratch = l.AppendKey((*scratch)[:0], lj.key)
+		for _, r := range lj.idx[string(*scratch)] {
 			if !l.Compatible(r) {
 				continue
 			}
 			m := l.Merge(r)
-			if filterOK != nil && !filterOK(m) {
+			if lj.filterOK != nil && !lj.filterOK(m) {
 				continue
 			}
 			matched = true
-			out.Rows = append(out.Rows, m)
+			out = append(out, m)
 		}
 		if !matched {
-			out.Rows = append(out.Rows, l)
+			out = append(out, l)
 		}
 	}
 	return out

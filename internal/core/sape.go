@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	"lusail/internal/endpoint"
+	"lusail/internal/engine"
 	"lusail/internal/federation"
 	"lusail/internal/rdf"
 	"lusail/internal/sparql"
@@ -127,9 +129,10 @@ type Executor struct {
 	// delay partition is recomputed, promoting formerly-delayed
 	// subqueries whose delay no longer looks justified.
 	ReplanOvershoot float64
-	// Observe, when non-nil, receives each phase-1 subquery's observed
-	// row count (with the estimate it was planned under still intact on
-	// sq.EstCard) — the calibration feedback loop.
+	// Observe, when non-nil, receives the observed row count of each
+	// phase-1 subquery the execution computed in full (not reused, not
+	// degraded), with the estimate it was planned under still intact on
+	// sq.EstCard — the calibration feedback loop.
 	Observe func(sq *Subquery, actualRows int)
 }
 
@@ -142,21 +145,33 @@ func NewExecutor(eps []endpoint.Endpoint) *Executor {
 	}
 }
 
-// Run evaluates the decomposed plan: required and optional subqueries
-// plus pre-materialized extra relations (UNION blocks, VALUES blocks).
-// optFilters maps an OptionalGroup id to the residual filters applied
-// during its left join. It returns the joined relation before final
-// solution modifiers.
-func (ex *Executor) Run(ctx context.Context, sqs []*Subquery, extra []*Relation, globalFilters []sparql.Expr, optFilters map[int][]sparql.Expr) (*Relation, *ExecStats, error) {
-	return ex.RunCached(ctx, sqs, extra, globalFilters, optFilters, nil)
-}
+// StreamSink receives successive chunks of final (joined, filtered)
+// rows. vars is the same header on every call. Returning an error
+// cancels the remaining execution.
+type StreamSink func(vars []sparql.Var, rows []sparql.Binding) error
 
-// RunCached is Run with an optional shared subquery-result cache
-// (multi-query optimization): non-delayed subquery results are reused
-// across the queries of one batch. Bound (delayed) executions depend
-// on per-query bindings and are never cached.
-func (ex *Executor) RunCached(ctx context.Context, sqs []*Subquery, extra []*Relation, globalFilters []sparql.Expr, optFilters map[int][]sparql.Expr, sqCache *SubqueryCache) (*Relation, *ExecStats, error) {
-	stats := &ExecStats{}
+// streamChunkRows caps the rows per emitted chunk, bounding how much a
+// single giant endpoint response can occupy between join and sink.
+const streamChunkRows = 1024
+
+// Run evaluates the decomposed plan — required and optional subqueries
+// plus pre-materialized extra relations (UNION blocks, VALUES blocks,
+// nested OPTIONAL groups) — and delivers the final rows through sink
+// in chunks: joined, left-joined with each OPTIONAL group (optFilters
+// maps a group id to the residual filters of its left join), and
+// filtered by globalFilters. Solution modifiers are the caller's.
+//
+// The phases pipeline instead of running as serial rounds. Every
+// phase-1 subquery is evaluated concurrently through sqCache (nil
+// disables reuse). One of them, the "tail", is elected to stream: its
+// rows flow through the plan as chunks while the other relations are
+// still on the wire. Delayed subqueries are bound (phase 2) as soon as
+// the phase-1 relations sharing their variables have landed, not when
+// all of phase 1 returns. Each tail chunk then probes a join whose
+// other side is the cost-ordered fold of every other relation. A plan
+// with no eligible tail emits that fold itself in chunks.
+func (ex *Executor) Run(ctx context.Context, sqs []*Subquery, extra []*Relation, globalFilters []sparql.Expr, optFilters map[int][]sparql.Expr, sqCache *SubqueryCache, sink StreamSink) (stats *ExecStats, err error) {
+	stats = &ExecStats{}
 	// Per-call counters attribute this execution's retry/breaker
 	// events to its ExecStats (and, via the parent chain, to any
 	// enclosing query's Metrics) without diffing the shared endpoint
@@ -170,11 +185,19 @@ func (ex *Executor) RunCached(ctx context.Context, sqs []*Subquery, extra []*Rel
 		stats.BreakerOpens += int(fc.BreakerOpens())
 		stats.Dropped += dg.DropCount() - dropsBefore
 	}()
+
+	var phase1, delayed []*Subquery
+	for _, sq := range sqs {
+		if sq.Delayed {
+			delayed = append(delayed, sq)
+		} else {
+			phase1 = append(phase1, sq)
+		}
+	}
+	tail := pickStreamTail(phase1, delayed)
+
 	fb := newFoundBindings()
-
-	var required []*Relation
-	var optionalRels []*Relation
-
+	var required, optionalRels []*Relation
 	addRel := func(sq *Subquery, rel *Relation) {
 		if sq.Optional {
 			rel.Optional = true
@@ -185,9 +208,6 @@ func (ex *Executor) RunCached(ctx context.Context, sqs []*Subquery, extra []*Rel
 		required = append(required, rel)
 		fb.update(rel)
 	}
-
-	// Pre-materialized relations: UNION/VALUES blocks are
-	// required-side; recursively evaluated OPTIONAL groups left-join.
 	for _, rel := range extra {
 		if rel.Optional {
 			optionalRels = append(optionalRels, rel)
@@ -197,294 +217,508 @@ func (ex *Executor) RunCached(ctx context.Context, sqs []*Subquery, extra []*Rel
 		fb.update(rel)
 	}
 
-	// Phase 1: evaluate non-delayed subqueries concurrently. Each
-	// subquery is broadcast to all of its relevant endpoints; results
-	// are concatenated (each endpoint's result is one partition).
-	var phase1 []*Subquery
-	var delayed []*Subquery
-	for _, sq := range sqs {
-		if sq.Delayed {
-			delayed = append(delayed, sq)
-		} else {
-			phase1 = append(phase1, sq)
-		}
-	}
-	p1Ctx, p1Span, p1FC := startPhase(ctx, "phase1")
-	// Only phase-1 unbound subqueries opt in to hedging: probes are
-	// cheap and bound blocks carry VALUES payloads too large to double.
-	p1Ctx = endpoint.WithHedging(p1Ctx)
-	rels, err := ex.runPhase1(p1Ctx, phase1, stats, sqCache)
-	endPhase(p1Span, p1FC)
-	if err != nil {
-		return nil, stats, err
-	}
-	for _, sq := range phase1 {
-		addRel(sq, rels[sq])
-	}
-
-	// Feedback and mid-query replan. Observation runs first, against the
-	// estimate the subquery was planned under; a degraded execution
-	// (drops recorded since entry) skips it, because a partial row count
-	// would teach the calibrator that estimates overshoot when in fact
-	// an endpoint's contribution went missing.
-	overshoot := false
-	for _, sq := range phase1 {
-		actual := float64(len(rels[sq].Rows))
-		if ex.Observe != nil && !sq.Optional && dg.DropCount() == dropsBefore {
-			ex.Observe(sq, len(rels[sq].Rows))
-		}
-		if ex.ReplanOvershoot > 0 && actual > ex.ReplanOvershoot*math.Max(sq.EstCard, 1) {
-			// The observed cardinality replaces the estimate: phase-2
-			// selectivity ordering and the recomputed delay partition
-			// below both see the corrected number.
-			sq.EstCard = actual
-			overshoot = true
-		}
-	}
-	if overshoot && len(delayed) > 0 {
-		// An estimate was badly wrong, so the delay partition may be
-		// wrong too: recompute it over the corrected cardinalities and
-		// promote formerly-delayed subqueries that no longer qualify —
-		// running them unbound now beats binding them against an
-		// unexpectedly huge found-bindings set.
-		MarkDelayed(sqs, ex.DelayPolicy)
-		var promote, still []*Subquery
-		for _, sq := range delayed {
-			if sq.Delayed {
-				still = append(still, sq)
-			} else {
-				promote = append(promote, sq)
-			}
-		}
-		delayed = still
-		if len(promote) > 0 {
-			stats.Replans++
-			rpCtx, rpSpan, rpFC := startPhase(ctx, "replan")
-			rpCtx = endpoint.WithHedging(rpCtx)
-			prels, err := ex.runPhase1(rpCtx, promote, stats, sqCache)
-			endPhase(rpSpan, rpFC)
-			if err != nil {
-				return nil, stats, err
-			}
-			for _, sq := range promote {
-				addRel(sq, prels[sq])
-			}
-		}
-	}
-
-	// Short-circuit: an empty required relation empties the join. The
-	// empty result is still one valid partition for the cost model.
-	if emptyRequired(required) {
-		return &Relation{Vars: allVars(required, optionalRels, delayed), Partitions: 1}, stats, nil
-	}
-
-	// Phase 2: delayed subqueries, most selective first, bound to the
-	// found bindings via VALUES blocks (Algorithm 3 lines 10-18).
-	var p2Span *trace.Span
-	var p2FC *endpoint.FaultCounters
-	p2Ctx := ctx
-	if len(delayed) > 0 {
-		p2Ctx, p2Span, p2FC = startPhase(ctx, "phase2")
-	}
-	for len(delayed) > 0 {
-		// BestEffort stops issuing delayed subqueries once the query
-		// budget expires: the remaining ones are skipped (the result may
-		// then be a superset of the exact answer) and annotated. Other
-		// policies let the context deadline fail the next request.
-		if dg.Policy() == endpoint.DegradeBestEffort && dg.BudgetExpired() {
-			for _, sq := range delayed {
-				dg.Drop("", sqLabel(sq), "phase2", context.DeadlineExceeded)
-			}
-			break
-		}
-		idx := ex.pickMostSelective(delayed, fb)
-		sq := delayed[idx]
-		delayed = append(delayed[:idx], delayed[idx+1:]...)
-		rel, err := ex.runBound(p2Ctx, sq, fb, stats)
-		if err != nil {
-			endPhase(p2Span, p2FC)
-			return nil, stats, err
-		}
-		addRel(sq, rel)
-		if !sq.Optional && len(rel.Rows) == 0 {
-			endPhase(p2Span, p2FC)
-			return &Relation{Vars: allVars(required, optionalRels, delayed), Partitions: 1}, stats, nil
-		}
-	}
-	endPhase(p2Span, p2FC)
-
-	// Join evaluation: cost-ordered parallel hash join of required
-	// relations, then OPTIONAL left joins, then the group's residual
-	// filters (SPARQL applies group filters after all joins, so they
-	// may reference optionally-bound variables, e.g. !BOUND).
-	joinSpan := trace.SpanFrom(ctx).StartChild("join")
-	result := ex.joinAll(joinSpan, required)
-	result = ex.leftJoinOptionals(joinSpan, result, optionalRels, optFilters)
-	if len(globalFilters) > 0 {
-		before := len(result.Rows)
-		result = filterRelation(result, globalFilters)
-		if fs := joinSpan.StartChild("filter"); fs != nil {
-			fs.Set("rows_in", int64(before))
-			fs.Set("rows_out", int64(len(result.Rows)))
-			fs.End()
-		}
-	}
-	joinSpan.Set("rows", int64(len(result.Rows)))
-	joinSpan.End()
-	return result, stats, nil
-}
-
-// runPhase1 evaluates the non-delayed subqueries concurrently. With a
-// multi-query cache, each subquery goes through single-flight
-// get-or-compute so concurrent batch queries share executions; without
-// one, all broadcasts go out as a single task batch.
-func (ex *Executor) runPhase1(ctx context.Context, phase1 []*Subquery, stats *ExecStats, sqCache *SubqueryCache) (map[*Subquery]*Relation, error) {
-	rels := make(map[*Subquery]*Relation, len(phase1))
-	sp := trace.SpanFrom(ctx)
-	if sqCache == nil {
-		var tasks []federation.Task
-		var taskSq []*Subquery
-		for _, sq := range phase1 {
-			rels[sq] = &Relation{Vars: append([]sparql.Var(nil), sq.ProjVars...), Partitions: len(sq.Sources)}
-			text := sq.Query().String()
-			for _, ei := range sq.Sources {
-				tasks = append(tasks, federation.Task{EP: ex.Endpoints[ei], Query: text})
-				taskSq = append(taskSq, sq)
-			}
-		}
-		stats.Phase1Requests += len(tasks)
-		// Fail fast: the first terminal subquery error cancels the
-		// sibling in-flight evaluations instead of letting them burn
-		// their full network budget. Under an active degradation policy
-		// the batch runs to completion instead and a failed evaluation
-		// drops that endpoint's contribution to the subquery.
-		dg := endpoint.DegradeFrom(ctx)
-		var results []federation.TaskResult
-		if dg.Active() {
-			results = ex.Handler.Run(ctx, tasks)
-		} else {
-			var ferr error
-			results, ferr = ex.Handler.RunFailFast(ctx, tasks)
-			if ferr != nil {
-				return nil, fmt.Errorf("sape phase 1: %w", ferr)
-			}
-		}
-		// Per-subquery latency is the slowest of its per-endpoint tasks
-		// (the parallel critical path), taken from the handler's
-		// per-task timings.
-		durs := map[*Subquery]time.Duration{}
-		failedBySq := map[*Subquery]int{}
-		for i, tr := range results {
-			// Latency attribution counts failed attempts too: a subquery
-			// whose tasks all fail (or are all absorbed into drops) still
-			// spent its slowest attempt's wall clock, and zeroing it would
-			// make ExplainAnalyze and the slow-query log under-report
-			// exactly the degraded queries worth investigating.
-			if tr.Duration > durs[taskSq[i]] {
-				durs[taskSq[i]] = tr.Duration
-			}
-			if tr.Err != nil {
-				if dg.Absorb(tr.Err) {
-					dg.Drop(tr.Task.EP.Name(), sqLabel(taskSq[i]), "phase1", tr.Err)
-					failedBySq[taskSq[i]]++
-					continue
-				}
-				return nil, fmt.Errorf("sape phase 1: %w", tr.Err)
-			}
-			rels[taskSq[i]].Rows = append(rels[taskSq[i]].Rows, tr.Res.Rows...)
-		}
-		for _, sq := range phase1 {
-			// SkipEndpoint promises every required subquery keeps at
-			// least one live source; a subquery that lost all of them is
-			// an error there (BestEffort accepts the empty contribution).
-			if n := failedBySq[sq]; n > 0 && n == len(sq.Sources) && !sq.Optional &&
-				dg.Policy() == endpoint.DegradeSkipEndpoint {
-				return nil, fmt.Errorf("sape phase 1: subquery %s lost all %d sources under skip-endpoint degradation", sqLabel(sq), n)
-			}
-			// A dropped endpoint contributed no partition: stamp the
-			// partitions that actually produced rows (floored at one), or
-			// JoinCost divides by phantom partitions and the parallel-join
-			// fan-out looks cheaper than it is for degraded queries.
-			rels[sq].Partitions = survivingPartitions(len(sq.Sources), failedBySq[sq])
-			dedupFullProjection(sq, rels[sq])
-			recordSubquerySpan(sp, sq, rels[sq], durs[sq], len(sq.Sources))
-		}
-		return rels, nil
-	}
-
-	// Fail fast across the per-subquery fan-out: the first error
-	// cancels the sibling evaluations of THIS query.
-	groupCtx, cancel := context.WithCancel(ctx)
+	// Everything below runs under a cancellable context: the first
+	// unabsorbable error (or a sink abort) short-circuits the remaining
+	// in-flight work, and Run returns only once that work has unwound.
+	runCtx, cancel := context.WithCancel(ctx)
+	var wg sync.WaitGroup
+	defer wg.Wait()
 	defer cancel()
-	dg := endpoint.DegradeFrom(ctx)
-	type outcome struct {
-		sq     *Subquery
-		rel    *Relation
-		n      int
-		dur    time.Duration
-		shared bool
-		err    error
+
+	// ---- Phase 1: concurrent unbound subqueries -------------------
+	p1Ctx, p1Span, p1FC := startPhase(runCtx, "phase1")
+	// Only unbound subqueries opt in to hedging: probes are cheap and
+	// bound blocks carry VALUES payloads too large to double.
+	p1Ctx = endpoint.WithHedging(p1Ctx)
+	defer endPhase(p1Span, p1FC)
+	// The phase span closes when the last phase-1 evaluation lands, not
+	// when the tail's rows have been joined.
+	p1Left := len(phase1)
+	landed := func(r phase1Result) {
+		if r.promoted {
+			return
+		}
+		if p1Left--; p1Left == 0 {
+			endPhase(p1Span, p1FC)
+		}
 	}
-	ch := make(chan outcome, len(phase1))
+	done := make(chan phase1Result, len(sqs))
+	var queue *chunkQueue
 	for _, sq := range phase1 {
-		go func(sq *Subquery) {
-			start := time.Now()
-			// A caller under an absorbing degradation policy can reuse a
-			// partial cached relation: the drop records it carries are
-			// merged into this query's own completeness report below. A
-			// strict caller (DegradeFail) never sees partial entries.
-			run := func() (*Relation, bool, error) {
-				return sqCache.Do(groupCtx, SubqueryKey(sq, ex.Endpoints), dg.Active(), func() (*Relation, error) {
-					return ex.evalSubqueryUnbound(groupCtx, sq)
-				})
-			}
-			rel, shared, err := run()
-			// A sibling query's fail-fast can cancel the shared
-			// computation we were waiting on; its failure is not ours.
-			// Failed entries are not cached, so retry under our own
-			// (still-live) context until the result settles — a single
-			// retry can itself be cancelled by yet another sibling. The
-			// bound is a livelock backstop; once our own context is
-			// cancelled the loop exits via groupCtx.Err().
-			for tries := 0; err != nil && errors.Is(err, context.Canceled) &&
-				groupCtx.Err() == nil && tries < 64; tries++ {
-				rel, shared, err = run()
-			}
-			n := 0
-			if err == nil && !shared {
-				n = len(sq.Sources)
-			}
-			ch <- outcome{sq: sq, rel: rel, n: n, dur: time.Since(start), shared: shared, err: err}
-		}(sq)
+		var q *chunkQueue
+		if sq == tail {
+			queue = newChunkQueue()
+			q = queue
+		}
+		ex.startUnbound(p1Ctx, &wg, sq, sqCache, q, false, done)
 	}
-	var firstErr error
-	for range phase1 {
-		o := <-ch
-		if o.err != nil {
-			if firstErr == nil {
-				firstErr = o.err
-				cancel() // fail fast: stop the sibling subqueries
+	// complete folds one finished unbound subquery into the plan state:
+	// its execution record, inherited drop records, request count and
+	// calibration feedback. Observation runs against the estimate the
+	// subquery was planned under, only for phase-1 results this query
+	// computed in full: a reused result was observed by the query that
+	// computed it, a degraded one would teach the calibrator that
+	// estimates overshoot when in fact an endpoint's contribution went
+	// missing, and a promoted one runs after its plan was corrected.
+	complete := func(r phase1Result, rows int) {
+		sp := recordSubquerySpan(r.parent, r.sq, rows, r.dur, len(r.sq.Sources))
+		dg.Merge(r.rel.Dropped)
+		if r.shared {
+			sp.Set("shared", true)
+		} else {
+			stats.Phase1Requests += len(r.sq.Sources)
+		}
+		if ex.Observe != nil && !r.promoted && !r.sq.Optional && !r.shared && len(r.rel.Dropped) == 0 {
+			ex.Observe(r.sq, rows)
+		}
+	}
+
+	// ---- Phase 2 and re-planning, driven by phase-1 completions ----
+	// running holds the non-tail unbound subqueries still in flight.
+	// Phase 2 starts once none of them shares a variable with a pending
+	// delayed subquery: from then on every pick and every VALUES block
+	// is exactly the serial Algorithm 3's, while phase-1 subqueries no
+	// delayed one depends on (the tail among them) keep streaming.
+	running := map[*Subquery]bool{}
+	for _, sq := range phase1 {
+		if sq != tail {
+			running[sq] = true
+		}
+	}
+	pending := append([]*Subquery(nil), delayed...)
+	phase2Ready := func() bool {
+		for s := range running {
+			if s.Optional {
+				continue
 			}
+			for _, d := range pending {
+				for _, v := range d.Vars() {
+					if s.HasVar(v) {
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	var p2Span, rpSpan *trace.Span
+	var p2FC, rpFC *endpoint.FaultCounters
+	var p2Ctx, rpCtx context.Context
+	defer func() { endPhase(p2Span, p2FC); endPhase(rpSpan, rpFC) }()
+	var tailRes *phase1Result
+	shortCircuit := false
+	for !shortCircuit && (len(running) > 0 || len(pending) > 0) {
+		if len(pending) > 0 {
+			// An empty required relation empties the join: nothing left
+			// to bind is worth shipping.
+			if emptyRequired(required) {
+				shortCircuit = true
+				break
+			}
+			// BestEffort stops issuing delayed subqueries once the query
+			// budget expires: the remaining ones are skipped (the result
+			// may then be a superset of the exact answer) and annotated.
+			// Other policies let the context deadline fail the next
+			// request.
+			if dg.Policy() == endpoint.DegradeBestEffort && dg.BudgetExpired() {
+				for _, sq := range pending {
+					dg.Drop("", sqLabel(sq), "phase2", context.DeadlineExceeded)
+				}
+				pending = nil
+				continue
+			}
+			if phase2Ready() {
+				// Most selective first, bound to the found bindings via
+				// VALUES blocks (Algorithm 3 lines 10-18).
+				if p2Span == nil {
+					p2Ctx, p2Span, p2FC = startPhase(runCtx, "phase2")
+				}
+				sq := pending[ex.pickMostSelective(pending, fb)]
+				pending = slices.DeleteFunc(pending, func(d *Subquery) bool { return d == sq })
+				rel, berr := ex.runBound(p2Ctx, sq, fb, stats)
+				if berr != nil {
+					return stats, berr
+				}
+				addRel(sq, rel)
+				shortCircuit = !sq.Optional && len(rel.Rows) == 0
+				continue
+			}
+		}
+		// Nothing launchable: wait for the next unbound completion.
+		r := <-done
+		if r.err != nil {
+			return stats, fmt.Errorf("sape phase 1: %w", r.err)
+		}
+		landed(r)
+		if r.sq == tail {
+			tailRes = &r // its rows are already streaming
 			continue
 		}
-		// The relation is private to this query (the cache snapshots on
-		// both store and read), so the per-query Optional marking cannot
-		// leak across consumers. Drops stamped on a degraded cached
-		// relation are merged into THIS query's state, so a query reusing
-		// a partial shared result still reports it in its own
-		// Completeness.
-		rels[o.sq] = o.rel
-		dg.Merge(o.rel.Dropped)
-		stats.Phase1Requests += o.n
-		sqSpan := recordSubquerySpan(sp, o.sq, rels[o.sq], o.dur, o.n)
-		if o.shared {
-			sqSpan.Set("shared", true)
+		delete(running, r.sq)
+		complete(r, len(r.rel.Rows))
+		addRel(r.sq, r.rel)
+		if r.promoted || ex.ReplanOvershoot <= 0 ||
+			float64(len(r.rel.Rows)) <= ex.ReplanOvershoot*math.Max(r.sq.EstCard, 1) {
+			continue
+		}
+		// Mid-query re-plan: the estimate was badly wrong, so the delay
+		// partition may be wrong too. The observed cardinality replaces
+		// it (phase-2 selectivity ordering sees the corrected number),
+		// and delayed subqueries that no longer qualify are promoted:
+		// running them unbound now beats binding them against an
+		// unexpectedly huge found-bindings set.
+		r.sq.EstCard = float64(len(r.rel.Rows))
+		if len(pending) == 0 {
+			continue
+		}
+		MarkDelayed(sqs, ex.DelayPolicy)
+		var still []*Subquery
+		promoted := false
+		for _, sq := range pending {
+			if sq.Delayed {
+				still = append(still, sq)
+				continue
+			}
+			if rpSpan == nil {
+				rpCtx, rpSpan, rpFC = startPhase(runCtx, "replan")
+				rpCtx = endpoint.WithHedging(rpCtx)
+			}
+			running[sq] = true
+			ex.startUnbound(rpCtx, &wg, sq, sqCache, nil, true, done)
+			promoted = true
+		}
+		pending = still
+		if promoted {
+			stats.Replans++
 		}
 	}
-	if firstErr != nil {
-		return nil, fmt.Errorf("sape phase 1: %w", firstErr)
+	if shortCircuit || emptyRequired(required) {
+		return stats, nil
 	}
-	return rels, nil
+
+	// ---- Join: the fold of every completed relation ---------------
+	joinSpan := trace.SpanFrom(ctx).StartChild("join")
+	emitted := 0
+	defer func() {
+		joinSpan.Set("rows", int64(emitted))
+		joinSpan.End()
+	}()
+	acc := ex.joinAll(joinSpan, required)
+	if len(acc.Rows) == 0 {
+		return stats, nil
+	}
+	outVars := planVars(sqs, extra)
+	chunkVars := acc.Vars
+	var sym *engine.SymmetricJoin
+	var probe *trace.Span
+	if tail != nil {
+		chunkVars = tail.ProjVars
+		if len(required) > 0 {
+			chunkVars = mergeVarsUnique(acc.Vars, tail.ProjVars)
+			sym = engine.NewSymmetricJoin(acc.Vars, tail.ProjVars)
+			sym.PushLeft(acc.Rows)
+			sym.CloseLeft() // tail chunks become pure, allocation-free probes
+			probe = joinSpan.StartChild("hash-join")
+		}
+	}
+	steps := ex.rowSteps(joinSpan, chunkVars, optionalRels, optFilters, globalFilters)
+	defer func() {
+		for _, s := range steps {
+			s.end()
+		}
+	}()
+	// emit runs one chunk of joined rows through the OPTIONAL left joins
+	// and the group filters — both row-local, so chunking commutes with
+	// them — and hands the survivors to the sink.
+	emit := func(rows []sparql.Binding) error {
+		for _, s := range steps {
+			rows = s.apply(rows)
+		}
+		if len(rows) == 0 {
+			return nil
+		}
+		emitted += len(rows)
+		return sink(outVars, rows)
+	}
+
+	if tail == nil {
+		for rows := acc.Rows; len(rows) > 0; {
+			n := min(len(rows), streamChunkRows)
+			if serr := emit(rows[:n]); serr != nil {
+				return stats, serr
+			}
+			rows = rows[n:]
+		}
+		return stats, nil
+	}
+
+	// ---- Streamed join: tail chunks probe the folded accumulator ---
+	tailRows, probeRows := 0, 0
+	var probeDur time.Duration
+	for {
+		chunk, ok := queue.pop()
+		if !ok {
+			break
+		}
+		tailRows += len(chunk)
+		rows := chunk
+		if sym != nil {
+			t := time.Now()
+			rows = sym.PushRight(chunk)
+			probeDur += time.Since(t)
+			probeRows += len(rows)
+		}
+		if serr := emit(rows); serr != nil {
+			return stats, serr
+		}
+	}
+	if probe != nil {
+		probe.Set("left_rows", int64(len(acc.Rows)))
+		probe.Set("right_rows", int64(tailRows))
+		probe.Set("out_rows", int64(probeRows))
+		probe.Set("partitions", int64(1))
+		probe.SetDuration(probeDur)
+	}
+	// The queue closes only after the tail's outcome is sent. A terminal
+	// tail error surfaces after the partial stream: the chunks already
+	// emitted are delivered, and the caller learns the stream was
+	// truncated.
+	if tailRes == nil {
+		r := <-done
+		landed(r)
+		tailRes = &r
+	}
+	if tailRes.err != nil {
+		return stats, fmt.Errorf("sape phase 1: %w", tailRes.err)
+	}
+	complete(*tailRes, tailRows)
+	return stats, nil
+}
+
+// pickStreamTail elects the phase-1 relation that will stream through
+// the plan: required, with at least one source, and sharing no
+// variable with any delayed subquery — its rows then feed neither the
+// VALUES blocks of phase 2 nor the selectivity refinement, so
+// excluding it from the found-bindings sets changes nothing except
+// that nobody waits for it. Among the eligible, the largest estimated
+// cardinality wins: streaming the biggest relation saves the most
+// memory and time-to-first-row.
+func pickStreamTail(phase1, delayed []*Subquery) *Subquery {
+	delayedVars := map[sparql.Var]bool{}
+	for _, d := range delayed {
+		for _, v := range d.Vars() {
+			delayedVars[v] = true
+		}
+	}
+	var best *Subquery
+	for _, sq := range phase1 {
+		if sq.Optional || len(sq.Sources) == 0 {
+			continue
+		}
+		shared := false
+		for _, v := range sq.Vars() {
+			if delayedVars[v] {
+				shared = true
+				break
+			}
+		}
+		if shared {
+			continue
+		}
+		if best == nil || sq.EstCard > best.EstCard {
+			best = sq
+		}
+	}
+	return best
+}
+
+// chunkQueue is an unbounded FIFO of row chunks between the tail's
+// evaluation and Run's emit loop. Unbounded is deliberate: before the
+// accumulator side of the join is built the emit loop is not draining,
+// and blocking the tail there would gain nothing — its endpoints have
+// answered already. In the streaming steady state the queue stays
+// near-empty.
+type chunkQueue struct {
+	mu     sync.Mutex
+	cond   *sync.Cond
+	chunks [][]sparql.Binding
+	closed bool
+}
+
+func newChunkQueue() *chunkQueue {
+	q := &chunkQueue{}
+	q.cond = sync.NewCond(&q.mu)
+	return q
+}
+
+// push appends rows as chunks of at most streamChunkRows.
+func (q *chunkQueue) push(rows []sparql.Binding) {
+	if len(rows) == 0 {
+		return
+	}
+	q.mu.Lock()
+	for len(rows) > 0 {
+		n := min(len(rows), streamChunkRows)
+		q.chunks = append(q.chunks, rows[:n])
+		rows = rows[n:]
+	}
+	q.mu.Unlock()
+	q.cond.Signal()
+}
+
+// close marks the stream complete; pop drains what remains.
+func (q *chunkQueue) close() {
+	q.mu.Lock()
+	q.closed = true
+	q.mu.Unlock()
+	q.cond.Broadcast()
+}
+
+// pop blocks for the next chunk; ok is false once the queue is closed
+// and drained.
+func (q *chunkQueue) pop() ([]sparql.Binding, bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for len(q.chunks) == 0 && !q.closed {
+		q.cond.Wait()
+	}
+	if len(q.chunks) == 0 {
+		return nil, false
+	}
+	c := q.chunks[0]
+	q.chunks = q.chunks[1:]
+	return c, true
+}
+
+// phase1Result is one unbound subquery's outcome, reported to Run's
+// coordinating goroutine.
+type phase1Result struct {
+	sq       *Subquery
+	rel      *Relation
+	dur      time.Duration
+	shared   bool
+	promoted bool
+	err      error
+	// parent is the phase span the execution record belongs under.
+	parent *trace.Span
+}
+
+// startUnbound evaluates sq unbound on its own goroutine and reports
+// the outcome on done. The evaluation goes through sqCache, so a
+// retained or in-flight result for the same subquery is reused instead
+// of re-executed. With a queue, sq is the streamed tail: rows are
+// pushed as each endpoint answers (a reused result is replayed), the
+// queue closes after the outcome is sent, and rows are retained only
+// when a cache needs them. promoted marks an evaluation started by a
+// mid-query re-plan rather than by phase 1.
+func (ex *Executor) startUnbound(ctx context.Context, wg *sync.WaitGroup, sq *Subquery, sqCache *SubqueryCache, queue *chunkQueue, promoted bool, done chan<- phase1Result) {
+	key := ""
+	if sqCache != nil {
+		key = SubqueryKey(sq, ex.Endpoints)
+	}
+	// A caller under an absorbing degradation policy can reuse a partial
+	// cached relation: its drop records are merged into this query's own
+	// completeness report. A strict caller never sees partial entries.
+	canPartial := endpoint.DegradeFrom(ctx).Active()
+	var emit func([]sparql.Binding)
+	pushed := false
+	if queue != nil {
+		emit = func(rows []sparql.Binding) {
+			pushed = pushed || len(rows) > 0
+			queue.push(rows)
+		}
+	}
+	keep := queue == nil || sqCache != nil
+	r := phase1Result{sq: sq, promoted: promoted, parent: trace.SpanFrom(ctx)}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if queue != nil {
+			defer queue.close()
+		}
+		start := time.Now()
+		run := func() (*Relation, bool, error) {
+			return sqCache.Do(ctx, key, canPartial, func() (*Relation, error) {
+				return ex.evalUnbound(ctx, sq, emit, keep)
+			})
+		}
+		r.rel, r.shared, r.err = run()
+		// A sibling query's fail-fast can cancel the shared computation
+		// we were waiting on; its failure is not ours. Failed entries are
+		// not cached, so retry under our own (still-live) context until
+		// the result settles — a single retry can itself be cancelled by
+		// yet another sibling. A tail that already streamed rows never
+		// retries (they would be emitted twice). The bound is a livelock
+		// backstop.
+		for tries := 0; r.err != nil && !pushed && errors.Is(r.err, context.Canceled) &&
+			ctx.Err() == nil && tries < 64; tries++ {
+			r.rel, r.shared, r.err = run()
+		}
+		if r.err == nil && r.shared && queue != nil {
+			queue.push(r.rel.Rows)
+		}
+		r.dur = time.Since(start)
+		done <- r
+	}()
+}
+
+// evalUnbound broadcasts one subquery to its sources. Each source's
+// rows are passed to emit (when non-nil) the moment the source
+// answers, and retained on the returned relation when keep is set.
+// The first failure the degradation policy cannot absorb cancels the
+// sibling requests and fails the evaluation. An absorbed failure drops
+// that source's contribution and is recorded on the relation itself,
+// not the context's Degrade state: the relation may be shared across
+// queries through the subquery cache, and each consumer merges the
+// drops into its own completeness report.
+func (ex *Executor) evalUnbound(ctx context.Context, sq *Subquery, emit func([]sparql.Binding), keep bool) (*Relation, error) {
+	rel := &Relation{Vars: append([]sparql.Var(nil), sq.ProjVars...)}
+	text := sq.Query().String()
+	tasks := make([]federation.Task, len(sq.Sources))
+	for i, ei := range sq.Sources {
+		tasks[i] = federation.Task{EP: ex.Endpoints[ei], Query: text}
+	}
+	dg := endpoint.DegradeFrom(ctx)
+	rctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	seen := sourceDedup(sq)
+	failed := 0
+	var err error
+	for tr := range ex.Handler.RunStream(rctx, tasks) {
+		switch {
+		case err != nil:
+			// Draining the siblings the failure cancelled.
+		case tr.Err == nil:
+			rows := dedupRows(seen, tr.Res.Rows, rel.Vars)
+			if emit != nil {
+				emit(rows)
+			}
+			if keep {
+				rel.Rows = append(rel.Rows, rows...)
+			}
+		case dg.Absorb(tr.Err):
+			rel.Dropped = append(rel.Dropped, dg.DropRecord(tr.Task.EP.Name(), sqLabel(sq), "phase1", tr.Err))
+			failed++
+		default:
+			err = tr.Err
+			cancel()
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	// SkipEndpoint promises every required subquery keeps at least one
+	// live source; a subquery that lost all of them is an error there
+	// (BestEffort accepts the empty contribution).
+	if failed > 0 && failed == len(tasks) && !sq.Optional &&
+		dg.Policy() == endpoint.DegradeSkipEndpoint {
+		return nil, fmt.Errorf("subquery %s lost all %d sources under skip-endpoint degradation", sqLabel(sq), failed)
+	}
+	// A dropped endpoint contributed no partition: stamp the partitions
+	// that actually produced rows, or JoinCost divides by phantom
+	// partitions and the parallel-join fan-out looks cheaper than it is.
+	rel.Partitions = survivingPartitions(len(sq.Sources), failed)
+	return rel, nil
 }
 
 // recordSubquerySpan appends one subquery's execution record under
@@ -493,14 +727,14 @@ func (ex *Executor) runPhase1(ctx context.Context, phase1 []*Subquery, stats *Ex
 // spans are what ExplainAnalyze joins against the static plan to show
 // estimate-vs-actual error per subquery. Nil-safe; returns the span
 // for extra attributes.
-func recordSubquerySpan(parent *trace.Span, sq *Subquery, rel *Relation, dur time.Duration, requests int) *trace.Span {
+func recordSubquerySpan(parent *trace.Span, sq *Subquery, rows int, dur time.Duration, requests int) *trace.Span {
 	if parent == nil {
 		return nil
 	}
 	sp := parent.StartChild(fmt.Sprintf("sq%d", sq.ID))
 	sp.Set("query", sq.Query().String())
 	sp.Set("est", int64(sq.EstCard))
-	sp.Set("rows", int64(len(rel.Rows)))
+	sp.Set("rows", int64(rows))
 	sp.Set("requests", int64(requests))
 	sp.Set("sources", int64(len(sq.Sources)))
 	if sq.Optional {
@@ -513,51 +747,6 @@ func recordSubquerySpan(parent *trace.Span, sq *Subquery, rel *Relation, dur tim
 // sqLabel renders a subquery's identity for completeness reports and
 // trace spans.
 func sqLabel(sq *Subquery) string { return fmt.Sprintf("sq%d", sq.ID) }
-
-// evalSubqueryUnbound broadcasts one subquery to its sources and
-// concatenates the per-endpoint results. Under an active degradation
-// policy, a failed source's contribution is dropped and recorded on
-// the relation itself (not the context's Degrade state): the relation
-// may be shared across batch queries through the subquery cache, and
-// each consumer merges the drops into its own completeness report.
-func (ex *Executor) evalSubqueryUnbound(ctx context.Context, sq *Subquery) (*Relation, error) {
-	rel := &Relation{Vars: append([]sparql.Var(nil), sq.ProjVars...), Partitions: len(sq.Sources)}
-	text := sq.Query().String()
-	var tasks []federation.Task
-	for _, ei := range sq.Sources {
-		tasks = append(tasks, federation.Task{EP: ex.Endpoints[ei], Query: text})
-	}
-	dg := endpoint.DegradeFrom(ctx)
-	var results []federation.TaskResult
-	if dg.Active() {
-		results = ex.Handler.Run(ctx, tasks)
-	} else {
-		var ferr error
-		results, ferr = ex.Handler.RunFailFast(ctx, tasks)
-		if ferr != nil {
-			return nil, ferr
-		}
-	}
-	failed := 0
-	for _, tr := range results {
-		if tr.Err != nil {
-			if dg.Absorb(tr.Err) {
-				rel.Dropped = append(rel.Dropped, dg.DropRecord(tr.Task.EP.Name(), sqLabel(sq), "phase1", tr.Err))
-				failed++
-				continue
-			}
-			return nil, tr.Err
-		}
-		rel.Rows = append(rel.Rows, tr.Res.Rows...)
-	}
-	if failed > 0 && failed == len(tasks) && !sq.Optional &&
-		dg.Policy() == endpoint.DegradeSkipEndpoint {
-		return nil, fmt.Errorf("subquery %s lost all %d sources under skip-endpoint degradation", sqLabel(sq), failed)
-	}
-	rel.Partitions = survivingPartitions(len(sq.Sources), failed)
-	dedupFullProjection(sq, rel)
-	return rel, nil
-}
 
 // survivingPartitions is the partition count of a relation after
 // degradation dropped some of its sources' contributions: only the
@@ -580,15 +769,15 @@ func emptyRequired(rels []*Relation) bool {
 	return false
 }
 
-func allVars(required, optional []*Relation, pending []*Subquery) []sparql.Var {
+// planVars is the stable header of a plan's output rows: every
+// variable any of its relations can bind. OPTIONAL variables stay
+// unbound in non-matching rows.
+func planVars(sqs []*Subquery, extra []*Relation) []sparql.Var {
 	var out []sparql.Var
-	for _, r := range required {
+	for _, r := range extra {
 		out = mergeVarsUnique(out, r.Vars)
 	}
-	for _, r := range optional {
-		out = mergeVarsUnique(out, r.Vars)
-	}
-	for _, sq := range pending {
+	for _, sq := range sqs {
 		out = mergeVarsUnique(out, sq.ProjVars)
 	}
 	return out
@@ -629,7 +818,7 @@ func (ex *Executor) runBound(ctx context.Context, sq *Subquery, fb *foundBinding
 		if rel.Partitions < 1 {
 			rel.Partitions = 1
 		}
-		sp := recordSubquerySpan(trace.SpanFrom(ctx), sq, rel, time.Since(start), 0)
+		sp := recordSubquerySpan(trace.SpanFrom(ctx), sq, 0, time.Since(start), 0)
 		sp.Set("decision", "no-sources")
 		return rel, nil
 	}
@@ -656,7 +845,7 @@ func (ex *Executor) runBound(ctx context.Context, sq *Subquery, fb *foundBinding
 	case bindN == 0:
 		// No candidate values: a required subquery would make the join
 		// empty; an optional one contributes nothing.
-		sp := recordSubquerySpan(trace.SpanFrom(ctx), sq, rel, time.Since(start), 0)
+		sp := recordSubquerySpan(trace.SpanFrom(ctx), sq, 0, time.Since(start), 0)
 		sp.Set("decision", "empty-candidates")
 		return rel, nil
 	default:
@@ -739,9 +928,9 @@ func (ex *Executor) runBound(ctx context.Context, sq *Subquery, fb *foundBinding
 		dg.Policy() == endpoint.DegradeSkipEndpoint {
 		return nil, fmt.Errorf("sape phase 2 (%s): all %d sources failed under skip-endpoint degradation", sq, failed)
 	}
-	dedupFullProjection(sq, rel)
+	rel.Rows = dedupRows(sourceDedup(sq), rel.Rows, rel.Vars)
 	rel.Partitions = survivingPartitions(len(sources), failed)
-	sp := recordSubquerySpan(trace.SpanFrom(ctx), sq, rel, time.Since(start), requests)
+	sp := recordSubquerySpan(trace.SpanFrom(ctx), sq, len(rel.Rows), time.Since(start), requests)
 	if sp != nil {
 		if bindN < 0 {
 			sp.Set("decision", "unbound-fallback")
@@ -854,17 +1043,36 @@ func (ex *Executor) runBoundAt(ctx context.Context, sq *Subquery, bindVar sparql
 	return rows, requests, splits, nil
 }
 
-// dedupFullProjection removes duplicate rows collected from multiple
-// endpoints when the subquery projects every variable it binds: its
-// per-endpoint results are then sets, so global deduplication
-// reproduces exact RDF-merge semantics for triples replicated at
-// several sources (e.g. shared class declarations). Projected
-// subqueries keep their multiset semantics untouched.
-func dedupFullProjection(sq *Subquery, rel *Relation) {
+// sourceDedup returns the seen-set that deduplicates a subquery's rows
+// across its sources, or nil when none is needed. A subquery that
+// projects every variable it binds returns a set from each endpoint,
+// so global deduplication reproduces exact RDF-merge semantics for
+// triples replicated at several sources (e.g. shared class
+// declarations). Projected subqueries keep their multiset semantics.
+func sourceDedup(sq *Subquery) map[string]struct{} {
 	if len(sq.Sources) <= 1 || len(sq.ProjVars) != len(sq.Vars()) {
-		return
+		return nil
 	}
-	rel.Rows = federation.DedupRows(rel.Rows, rel.Vars)
+	return map[string]struct{}{}
+}
+
+// dedupRows filters rows, in place, to those whose key seen has not
+// recorded yet, recording the new keys; a nil seen keeps every row. It
+// works incrementally, so a relation can be deduplicated source by
+// source as it streams in.
+func dedupRows(seen map[string]struct{}, rows []sparql.Binding, vars []sparql.Var) []sparql.Binding {
+	if seen == nil {
+		return rows
+	}
+	out := rows[:0]
+	for i, k := range sparql.KeyColumn(rows, vars) {
+		if _, dup := seen[k]; dup {
+			continue
+		}
+		seen[k] = struct{}{}
+		out = append(out, rows[i])
+	}
+	return out
 }
 
 func termRows(terms []rdf.Term) [][]rdf.Term {
@@ -942,32 +1150,39 @@ func (ex *Executor) joinAll(sp *trace.Span, rels []*Relation) *Relation {
 	return acc
 }
 
-// filterRelation applies global (multi-subquery) filters.
-func filterRelation(rel *Relation, filters []sparql.Expr) *Relation {
-	out := &Relation{Vars: rel.Vars, Partitions: rel.Partitions}
-	for _, row := range rel.Rows {
-		keep := true
-		for _, f := range filters {
-			ok, err := sparql.EvalBool(f, row, nil)
-			if err != nil || !ok {
-				keep = false
-				break
-			}
-		}
-		if keep {
-			out.Rows = append(out.Rows, row)
-		}
-	}
+// rowStep is one row-local operator of Run's emit pipeline — an
+// OPTIONAL group's left join or the group's residual filters — applied
+// chunk by chunk. Its span sums the rows in and out over every chunk.
+type rowStep struct {
+	span          *trace.Span
+	inKey, outKey string
+	in, out       int
+	dur           time.Duration
+	fn            func([]sparql.Binding) []sparql.Binding
+}
+
+func (s *rowStep) apply(rows []sparql.Binding) []sparql.Binding {
+	t := time.Now()
+	out := s.fn(rows)
+	s.dur += time.Since(t)
+	s.in += len(rows)
+	s.out += len(out)
 	return out
 }
 
-// leftJoinOptionals groups the optional relations by OPTIONAL group,
-// joins within each group, and left-joins each group onto the result
-// with its residual filters.
-func (ex *Executor) leftJoinOptionals(sp *trace.Span, result *Relation, optional []*Relation, optFilters map[int][]sparql.Expr) *Relation {
-	if len(optional) == 0 {
-		return result
-	}
+func (s *rowStep) end() {
+	s.span.Set(s.inKey, int64(s.in))
+	s.span.Set(s.outKey, int64(s.out))
+	s.span.SetDuration(s.dur)
+}
+
+// rowSteps prepares the operators every joined chunk (header vars)
+// passes through: one left join per OPTIONAL group, in group order,
+// with the group's relations joined and its side indexed once up
+// front; then the global filters. SPARQL applies group filters after
+// all joins, so they may reference optionally-bound variables (e.g.
+// !BOUND).
+func (ex *Executor) rowSteps(sp *trace.Span, vars []sparql.Var, optional []*Relation, optFilters map[int][]sparql.Expr, filters []sparql.Expr) []*rowStep {
 	groups := map[int][]*Relation{}
 	var order []int
 	for _, rel := range optional {
@@ -977,27 +1192,45 @@ func (ex *Executor) leftJoinOptionals(sp *trace.Span, result *Relation, optional
 		groups[rel.OptionalGroup] = append(groups[rel.OptionalGroup], rel)
 	}
 	sort.Ints(order)
+	var steps []*rowStep
 	for _, gid := range order {
+		t := time.Now()
 		ljs := sp.StartChild("left-join")
 		ljs.Set("group", int64(gid))
-		ljs.Set("left_rows", int64(len(result.Rows)))
-		grp := ex.joinAll(ljs, groups[gid])
-		filters := optFilters[gid]
-		var check func(sparql.Binding) bool
-		if len(filters) > 0 {
-			check = func(b sparql.Binding) bool {
-				for _, f := range filters {
-					ok, err := sparql.EvalBool(f, b, nil)
-					if err != nil || !ok {
-						return false
+		lj := newLeftJoiner(vars, ex.joinAll(ljs, groups[gid]), filterCheck(optFilters[gid]))
+		vars = lj.vars
+		steps = append(steps, &rowStep{span: ljs, inKey: "left_rows", outKey: "out_rows",
+			dur: time.Since(t), fn: lj.join})
+	}
+	if len(filters) > 0 {
+		check := filterCheck(filters)
+		steps = append(steps, &rowStep{span: sp.StartChild("filter"), inKey: "rows_in", outKey: "rows_out",
+			fn: func(rows []sparql.Binding) []sparql.Binding {
+				var out []sparql.Binding
+				for _, row := range rows {
+					if check(row) {
+						out = append(out, row)
 					}
 				}
-				return true
+				return out
+			}})
+	}
+	return steps
+}
+
+// filterCheck compiles filters into a row predicate (nil when there
+// are none); an evaluation error counts as false.
+func filterCheck(filters []sparql.Expr) func(sparql.Binding) bool {
+	if len(filters) == 0 {
+		return nil
+	}
+	return func(b sparql.Binding) bool {
+		for _, f := range filters {
+			ok, err := sparql.EvalBool(f, b, nil)
+			if err != nil || !ok {
+				return false
 			}
 		}
-		result = LeftJoin(result, grp, check)
-		ljs.Set("out_rows", int64(len(result.Rows)))
-		ljs.End()
+		return true
 	}
-	return result
 }

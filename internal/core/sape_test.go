@@ -106,6 +106,18 @@ func TestHasGenericPattern(t *testing.T) {
 	}
 }
 
+// runDrained runs the executor and drains its stream into one
+// relation headed by the plan's variables.
+func runDrained(ctx context.Context, ex *Executor, sqs []*Subquery, extra []*Relation, globalFilters []sparql.Expr, optFilters map[int][]sparql.Expr, sqCache *SubqueryCache) (*Relation, *ExecStats, error) {
+	rel := &Relation{Vars: planVars(sqs, extra)}
+	stats, err := ex.Run(ctx, sqs, extra, globalFilters, optFilters, sqCache,
+		func(_ []sparql.Var, rows []sparql.Binding) error {
+			rel.Rows = append(rel.Rows, rows...)
+			return nil
+		})
+	return rel, stats, err
+}
+
 func TestExecutorSingleSubqueryConcatenates(t *testing.T) {
 	// The disjoint case (Algorithm 3 lines 2-4): one subquery, results
 	// concatenated across endpoints, no join.
@@ -116,7 +128,7 @@ func TestExecutorSingleSubqueryConcatenates(t *testing.T) {
 		Patterns: q.Where.Patterns, Sources: []int{0, 1},
 		ProjVars: []sparql.Var{"p", "s"}, OptionalGroup: -1,
 	}
-	rel, stats, err := ex.Run(context.Background(), []*Subquery{sq}, nil, nil, nil)
+	rel, stats, err := runDrained(context.Background(), ex, []*Subquery{sq}, nil, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +153,7 @@ func TestExecutorDelayedBoundExecution(t *testing.T) {
 		Patterns: qa.Where.Patterns[2:3], Sources: []int{0, 1},
 		ProjVars: []sparql.Var{"P", "U"}, OptionalGroup: -1, EstCard: 100, Delayed: true,
 	}
-	rel, stats, err := ex.Run(context.Background(), []*Subquery{sq1, sq2}, nil, nil, nil)
+	rel, stats, err := runDrained(context.Background(), ex, []*Subquery{sq1, sq2}, nil, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +180,7 @@ func TestExecutorEmptyRequiredShortCircuits(t *testing.T) {
 	q := sparql.MustParse(`SELECT * WHERE { ?s <http://ex/advisor> ?p . ?s <http://ex/nothing> ?x }`)
 	sq1 := &Subquery{Patterns: q.Where.Patterns[0:1], Sources: []int{0, 1}, ProjVars: []sparql.Var{"p", "s"}, OptionalGroup: -1}
 	sq2 := &Subquery{Patterns: q.Where.Patterns[1:2], Sources: nil, ProjVars: []sparql.Var{"s", "x"}, OptionalGroup: -1, Delayed: true}
-	rel, _, err := ex.Run(context.Background(), []*Subquery{sq1, sq2}, nil, nil, nil)
+	rel, _, err := runDrained(context.Background(), ex, []*Subquery{sq1, sq2}, nil, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +201,7 @@ func TestExecutorOptionalLeftJoin(t *testing.T) {
 		Sources:  []int{0, 1}, ProjVars: []sparql.Var{"P", "c"},
 		Optional: true, OptionalGroup: 0, Delayed: true,
 	}
-	rel, _, err := ex.Run(context.Background(), []*Subquery{req, opt}, nil, nil, map[int][]sparql.Expr{})
+	rel, _, err := runDrained(context.Background(), ex, []*Subquery{req, opt}, nil, nil, map[int][]sparql.Expr{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,11 +316,44 @@ func TestRunBoundRefinementDropsAllSources(t *testing.T) {
 
 func TestExecutorEmptyPlanYieldsIdentity(t *testing.T) {
 	ex := NewExecutor(nil)
-	rel, _, err := ex.Run(context.Background(), nil, nil, nil, nil)
+	rel, _, err := runDrained(context.Background(), ex, nil, nil, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rel.Rows) != 1 || len(rel.Rows[0]) != 0 {
 		t.Errorf("identity relation = %v", rel.Rows)
+	}
+}
+
+// TestPhase2WaitsForBindingsOfChainedDelayed: a delayed subquery bound
+// only through another delayed one (address via PhDDegreeFrom's ?U)
+// must not start while the phase-1 relation feeding that chain is on
+// the wire — it would find no bindings and run unbound. Phase 2 picks
+// exactly as the serial algorithm does: PhDDegreeFrom bound on the
+// advisors' ?P, then address bound on its ?U.
+func TestPhase2WaitsForBindingsOfChainedDelayed(t *testing.T) {
+	mk := func(text string, proj []sparql.Var, est float64, delayed bool) *Subquery {
+		return &Subquery{
+			Patterns: sparql.MustParse(text).Where.Patterns,
+			Sources:  []int{0, 1}, ProjVars: proj,
+			OptionalGroup: -1, EstCard: est, Delayed: delayed,
+		}
+	}
+	sqs := []*Subquery{
+		mk(`SELECT * WHERE { ?S <http://ex/takesCourse> ?C }`, []sparql.Var{"S", "C"}, 100, false),
+		mk(`SELECT * WHERE { ?S <http://ex/advisor> ?P }`, []sparql.Var{"S", "P"}, 4, false),
+		mk(`SELECT * WHERE { ?P <http://ex/PhDDegreeFrom> ?U }`, []sparql.Var{"P", "U"}, 50, true),
+		mk(`SELECT * WHERE { ?U <http://ex/address> ?A }`, []sparql.Var{"U", "A"}, 40, true),
+	}
+	ex := NewExecutor(uniEndpoints())
+	rel, stats, err := runDrained(context.Background(), ex, sqs, nil, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.BoundBlocks != 2 {
+		t.Errorf("BoundBlocks = %d, want 2 (both delayed subqueries bound)", stats.BoundBlocks)
+	}
+	if len(rel.Rows) == 0 {
+		t.Error("empty join result")
 	}
 }

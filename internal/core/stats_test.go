@@ -160,7 +160,7 @@ func TestReplanPromotesDelayed(t *testing.T) {
 		Sources:  []int{0, 1}, ProjVars: []sparql.Var{"p", "u"},
 		OptionalGroup: -1, EstCard: 1, Delayed: true,
 	}
-	rel, stats, err := ex.Run(context.Background(), []*Subquery{sqA, sqB}, nil, nil, nil)
+	rel, stats, err := runDrained(context.Background(), ex, []*Subquery{sqA, sqB}, nil, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestReplanDisabledKeepsDelayed(t *testing.T) {
 		Sources:  []int{0, 1}, ProjVars: []sparql.Var{"p", "u"},
 		OptionalGroup: -1, EstCard: 1, Delayed: true,
 	}
-	rel, stats, err := ex.Run(context.Background(), []*Subquery{sqA, sqB}, nil, nil, nil)
+	rel, stats, err := runDrained(context.Background(), ex, []*Subquery{sqA, sqB}, nil, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,5 +213,57 @@ func TestReplanDisabledKeepsDelayed(t *testing.T) {
 	}
 	if len(rel.Rows) != 4 {
 		t.Errorf("joined rows = %d, want 4", len(rel.Rows))
+	}
+}
+
+// TestReplanPromotesDelayedBesideStreamedTail: re-planning must not
+// depend on the plan's shape. Here a tail (takesCourse, sharing no
+// variable with the delayed subquery) streams while the advisor
+// subquery overshoots its estimate; the delayed PhDDegreeFrom subquery
+// must still be promoted and run unbound. The pipelined executor used
+// to skip the replan hook whenever it elected a tail.
+func TestReplanPromotesDelayedBesideStreamedTail(t *testing.T) {
+	plan := func() []*Subquery {
+		mk := func(text string, proj []sparql.Var, est float64, delayed bool) *Subquery {
+			return &Subquery{
+				Patterns: sparql.MustParse(text).Where.Patterns,
+				Sources:  []int{0, 1}, ProjVars: proj,
+				OptionalGroup: -1, EstCard: est, Delayed: delayed,
+			}
+		}
+		return []*Subquery{
+			mk(`SELECT * WHERE { ?s <http://ex/takesCourse> ?c }`, []sparql.Var{"s", "c"}, 10, false),
+			mk(`SELECT * WHERE { ?s <http://ex/advisor> ?p }`, []sparql.Var{"s", "p"}, 1, false),
+			mk(`SELECT * WHERE { ?p <http://ex/PhDDegreeFrom> ?u }`, []sparql.Var{"p", "u"}, 1, true),
+		}
+	}
+	if tail := pickStreamTail(plan()[:2], plan()[2:]); tail == nil || tail.Patterns[0].P.Term != testfed.IRI("takesCourse") {
+		t.Fatalf("fixture must elect the takesCourse tail, got %v", tail)
+	}
+
+	ex := NewExecutor(uniEndpoints())
+	ex.ReplanOvershoot = 2
+	ex.DelayPolicy = DelayAll
+	got, stats, err := runDrained(context.Background(), ex, plan(), nil, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Replans != 1 {
+		t.Errorf("Replans = %d, want 1", stats.Replans)
+	}
+	if stats.BoundBlocks != 0 {
+		t.Errorf("BoundBlocks = %d, want 0 (promoted subquery must run unbound)", stats.BoundBlocks)
+	}
+
+	want, wantStats, err := runDrained(context.Background(), NewExecutor(uniEndpoints()), plan(), nil, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantStats.BoundBlocks == 0 {
+		t.Fatal("control run without replan did not bind the delayed subquery")
+	}
+	canon := func(r *Relation) []string { return testfed.Canon(&sparql.Results{Vars: r.Vars, Rows: r.Rows}) }
+	if len(got.Rows) == 0 || !reflect.DeepEqual(canon(got), canon(want)) {
+		t.Errorf("replanned rows differ from the bound plan's.\n got: %v\nwant: %v", canon(got), canon(want))
 	}
 }

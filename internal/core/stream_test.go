@@ -37,7 +37,7 @@ func (c *collectStream) results() *sparql.Results {
 }
 
 // TestExecuteStreamMatchesExecute: the streamed row multiset must be
-// identical to the materialized path's over a spread of query shapes
+// identical to the drained result's over a spread of query shapes
 // (pure streaming, bound phase-2, OPTIONAL, FILTER, UNION).
 func TestExecuteStreamMatchesExecute(t *testing.T) {
 	queries := []struct {
@@ -135,8 +135,8 @@ func TestExecuteStreamOffset(t *testing.T) {
 	}
 }
 
-// TestExecuteStreamFallbackModifiers: DISTINCT / ORDER BY / ASK fall
-// back to the materialized path; SELECT results arrive as one chunk.
+// TestExecuteStreamFallbackModifiers: DISTINCT / ORDER BY / ASK drain
+// and finalize the stream; SELECT results arrive as one chunk.
 func TestExecuteStreamFallbackModifiers(t *testing.T) {
 	l, _ := newUniLusail(Config{})
 	q := `SELECT DISTINCT ?p WHERE { ?s <http://ex/advisor> ?p }`
@@ -150,7 +150,7 @@ func TestExecuteStreamFallbackModifiers(t *testing.T) {
 		t.Fatalf("ExecuteStream: %v", err)
 	}
 	if c.chunks != 1 {
-		t.Errorf("chunks = %d, want 1 (materialized fallback)", c.chunks)
+		t.Errorf("chunks = %d, want 1 (drained and finalized)", c.chunks)
 	}
 	if !reflect.DeepEqual(testfed.Canon(c.results()), testfed.Canon(want)) {
 		t.Errorf("fallback rows differ from Execute")
@@ -217,11 +217,10 @@ func TestExecuteStreamDegradeDrop(t *testing.T) {
 	}
 }
 
-// TestRunStreamedBudgetExpiredDropsDelayed: with a BestEffort budget
-// already expired, the streaming executor skips the remaining delayed
-// subqueries (annotating them as dropped) but still streams the tail —
-// mirroring the materialized path's budget semantics.
-func TestRunStreamedBudgetExpiredDropsDelayed(t *testing.T) {
+// TestRunBudgetExpiredDropsDelayed: with a BestEffort budget already
+// expired, the executor skips the remaining delayed subqueries
+// (annotating them as dropped) but still streams the tail.
+func TestRunBudgetExpiredDropsDelayed(t *testing.T) {
 	ex := NewExecutor(accountingFederation(2))
 	tail := &Subquery{
 		Patterns: []sparql.TriplePattern{{
@@ -244,13 +243,13 @@ func TestRunStreamedBudgetExpiredDropsDelayed(t *testing.T) {
 	ctx := endpoint.WithDegrade(context.Background(), dg)
 
 	delivered := 0
-	stats, err := ex.RunStreamed(ctx, []*Subquery{tail, delayed}, nil, nil, nil, nil,
+	stats, err := ex.Run(ctx, []*Subquery{tail, delayed}, nil, nil, nil, nil,
 		func(vars []sparql.Var, rows []sparql.Binding) error {
 			delivered += len(rows)
 			return nil
 		})
 	if err != nil {
-		t.Fatalf("RunStreamed: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if stats.Phase2Requests != 0 {
 		t.Errorf("Phase2Requests = %d, want 0 (budget expired before phase 2)", stats.Phase2Requests)

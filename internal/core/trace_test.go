@@ -93,7 +93,7 @@ func TestSubqueryCacheExemplars(t *testing.T) {
 	tr2 := trace.New("query")
 	tr2.Root.SetSampled(false)
 	ctx2 := trace.WithSpan(context.Background(), tr2.Root)
-	if _, ok := c.Lookup(ctx2, "k2", false); !ok {
+	if _, shared, err := c.Do(ctx2, "k2", false, func() (*Relation, error) { return rel, nil }); err != nil || !shared {
 		t.Fatal("expected cached entry")
 	}
 	if hit, _ := c.Exemplars(); hit.TraceID == tr2.ID().String() {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -155,8 +156,27 @@ func TestSmokeMQO(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if !strings.Contains(out, "batch(MQO)") || !strings.Contains(out, "sequential") {
-		t.Errorf("MQO output incomplete:\n%s", out)
+	// Each row: mode, runtime, requests, shared-subqueries.
+	rows := map[string][]string{}
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) == 4 {
+			rows[f[0]] = f
+		}
+	}
+	seq, bat := rows["sequential"], rows["batch(MQO)"]
+	if seq == nil || bat == nil {
+		t.Fatalf("MQO output incomplete:\n%s", out)
+	}
+	// The workload repeats Q1, Q2 and Q4 once each. Q1's and Q2's only
+	// subquery is the streamed tail, so three shared executions pin
+	// tail sharing through the subquery cache.
+	if shared, _ := strconv.Atoi(bat[3]); shared < 3 {
+		t.Errorf("batch shared %d subqueries, want >= 3:\n%s", shared, out)
+	}
+	seqReqs, _ := strconv.Atoi(seq[2])
+	batReqs, _ := strconv.Atoi(bat[2])
+	if batReqs >= seqReqs {
+		t.Errorf("batch sent %d requests, sequential %d — MQO should save work:\n%s", batReqs, seqReqs, out)
 	}
 }
 

@@ -391,9 +391,8 @@ func (f *Federation) QueryTraced(ctx context.Context, query string) (*Results, M
 // delivered row count (Len()), with empty Rows.
 //
 // Queries whose solution modifiers need the whole result before the
-// first row (DISTINCT, COUNT, ORDER BY) and ASK queries transparently
-// fall back to materialized execution and deliver SELECT rows as a
-// single chunk.
+// first row (DISTINCT, COUNT, ORDER BY) and ASK queries drain the same
+// stream and finalize it, delivering SELECT rows as a single chunk.
 func (f *Federation) QueryStream(ctx context.Context, query string, onChunk func(vars []Var, rows []Binding) error) (*Results, Metrics, error) {
 	return f.engine.ExecuteStream(ctx, query, onChunk)
 }
