@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: all build vet test race verify lint fmt-check bench bench-all bench-compare bench-baseline perfbench trace-smoke server-smoke degrade-smoke stream-smoke workload-smoke chaos-smoke stats-smoke fuzz-short
+.PHONY: all build vet test race verify lint fmt-check bench bench-all bench-compare bench-baseline perfbench perfbench-test trace-smoke server-smoke degrade-smoke stream-smoke workload-smoke chaos-smoke stats-smoke fuzz-short
 
 # Packages with microbenchmarks, gated by bench-compare.
-BENCH_PKGS = ./internal/core/ ./internal/sparql/ ./internal/engine/ ./internal/store/
+BENCH_PKGS = ./internal/cache/ ./internal/core/ ./internal/sparql/ ./internal/engine/ ./internal/store/
 BENCH_ARGS = -run NONE -bench . -benchmem -benchtime 300ms
 
 all: verify
@@ -18,11 +18,12 @@ test:
 	$(GO) test ./...
 
 # Race-check the concurrency-heavy packages: the elastic request
-# handler, the executor's fail-fast paths, the resilient decorator,
-# the metrics registry, the server daemon, and the endpoint engine's
-# pooled evaluations over the store's read views.
+# handler, the single-flight cache, the executor's fail-fast paths,
+# the resilient decorator, the metrics registry, the server daemon,
+# and the endpoint engine's pooled evaluations over the store's read
+# views.
 race:
-	$(GO) test -race ./internal/federation/... ./internal/core/... ./internal/endpoint/... ./internal/obs/... ./internal/stats/... ./internal/engine/... ./internal/store/... ./cmd/lusail-server/...
+	$(GO) test -race ./internal/cache/... ./internal/federation/... ./internal/core/... ./internal/endpoint/... ./internal/obs/... ./internal/stats/... ./internal/engine/... ./internal/store/... ./cmd/lusail-server/...
 
 verify: build vet test race
 
@@ -68,6 +69,11 @@ bench-baseline:
 # each, answers checked against the union-store oracle.
 perfbench:
 	bash perfbench/run.sh --workload all --seed 1 --seconds 30
+
+# perfbench is its own module, so the root `go test ./...` never builds
+# it; this vets and tests it against the current lusail facade.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Regenerate every paper figure/table.
 bench-all:

@@ -21,6 +21,7 @@ import (
 	"lusail/internal/benchdata/largerdf"
 	"lusail/internal/benchdata/lubm"
 	"lusail/internal/benchdata/qfed"
+	"lusail/internal/cache"
 	"lusail/internal/core"
 	"lusail/internal/endpoint"
 	"lusail/internal/experiments"
@@ -161,7 +162,7 @@ func BenchmarkFig10bc_LUBMScale(b *testing.B) {
 				benchLusail(b, eng, f, lubm.Queries[qname])
 			})
 			b.Run(fmt.Sprintf("%s/endpoints-%d/no-cache", qname, n), func(b *testing.B) {
-				eng := core.New(f.Endpoints, core.Config{DisableCache: true})
+				eng := core.New(f.Endpoints, core.Config{Caching: cache.Off})
 				benchLusail(b, eng, f, lubm.Queries[qname])
 			})
 		}

@@ -127,8 +127,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	var caching lusail.CachingMode
 	switch *coherenceMode {
-	case "enforce", "observe", "off":
+	case "enforce":
+		caching = lusail.CachingEnforce
+	case "observe":
+		caching = lusail.CachingObserve
+	case "off":
+		caching = lusail.CachingUnfenced
 	default:
 		fmt.Fprintf(os.Stderr, "invalid -coherence mode %q (want enforce | observe | off)\n", *coherenceMode)
 		os.Exit(2)
@@ -153,9 +159,8 @@ func main() {
 		SubqueryCacheTTL:  *sqCacheTTL,
 		Singleflight:      *singleflight,
 
-		CoherenceWindow:  *coherenceWindow,
-		CoherenceObserve: *coherenceMode == "observe",
-		CoherenceOff:     *coherenceMode == "off",
+		CoherenceWindow: *coherenceWindow,
+		Caching:         caching,
 
 		Statistics:      *statsOn || *statsCalibrate,
 		StatsRefresh:    *statsRefresh,

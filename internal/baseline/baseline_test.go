@@ -15,6 +15,7 @@ import (
 	"lusail/internal/baseline/fedx"
 	"lusail/internal/baseline/hibiscus"
 	"lusail/internal/baseline/splendid"
+	"lusail/internal/cache"
 	"lusail/internal/core"
 	"lusail/internal/endpoint"
 	"lusail/internal/engine"
@@ -41,7 +42,7 @@ func allEngines(t *testing.T, eps []endpoint.Endpoint) []federation.Engine {
 		fedx.New(eps, fedx.Config{}),
 		splendid.New(eps, idx, splendid.Config{}),
 		hibiscus.New(eps, sum, fedx.Config{}),
-		federation.NewNaive(eps, federation.NewAskCache()),
+		federation.NewNaive(eps, cache.New[bool](cache.PlanningEntries, 0, nil)),
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sort"
 
+	"lusail/internal/cache"
 	"lusail/internal/endpoint"
 	"lusail/internal/engine"
 	"lusail/internal/federation"
@@ -42,7 +43,7 @@ func New(eps []endpoint.Endpoint, cfg Config) *FedX {
 	return &FedX{
 		eps:      eps,
 		cfg:      cfg,
-		selector: federation.NewSelector(eps, federation.NewAskCache()),
+		selector: federation.NewSelector(eps, cache.New[bool](cache.PlanningEntries, 0, nil)),
 		handler:  federation.NewHandler(len(eps)),
 	}
 }

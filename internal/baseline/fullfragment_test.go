@@ -12,6 +12,7 @@ import (
 	"lusail/internal/baseline/fedx"
 	"lusail/internal/baseline/hibiscus"
 	"lusail/internal/baseline/splendid"
+	"lusail/internal/cache"
 	"lusail/internal/core"
 	"lusail/internal/endpoint"
 	"lusail/internal/engine"
@@ -171,7 +172,7 @@ func TestQuickFullFragmentAllEngines(t *testing.T) {
 			fedx.New(eps, fedx.Config{BoundBlockSize: 4}),
 			splendid.New(eps, idx, splendid.Config{BindBlockSize: 3}),
 			hibiscus.New(eps, sum, fedx.Config{}),
-			federation.NewNaive(eps, federation.NewAskCache()),
+			federation.NewNaive(eps, cache.New[bool](cache.PlanningEntries, 0, nil)),
 		}
 		for _, eng := range engines {
 			got, err := eng.Execute(context.Background(), query)

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"lusail/internal/baseline/fedx"
+	"lusail/internal/cache"
 	"lusail/internal/endpoint"
 	"lusail/internal/federation"
 	"lusail/internal/sparql"
@@ -65,7 +66,7 @@ type Selector struct {
 func NewSelector(eps []endpoint.Endpoint, summary *Summary) *Selector {
 	return &Selector{
 		eps:     eps,
-		base:    federation.NewSelector(eps, federation.NewAskCache()),
+		base:    federation.NewSelector(eps, cache.New[bool](cache.PlanningEntries, 0, nil)),
 		summary: summary,
 	}
 }

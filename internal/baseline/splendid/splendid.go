@@ -13,6 +13,7 @@ import (
 	"sort"
 	"time"
 
+	"lusail/internal/cache"
 	"lusail/internal/endpoint"
 	"lusail/internal/engine"
 	"lusail/internal/federation"
@@ -92,7 +93,7 @@ func New(eps []endpoint.Endpoint, idx *Index, cfg Config) *Splendid {
 		idx:     idx,
 		cfg:     cfg,
 		handler: federation.NewHandler(len(eps)),
-		asker:   federation.NewSelector(eps, federation.NewAskCache()),
+		asker:   federation.NewSelector(eps, cache.New[bool](cache.PlanningEntries, 0, nil)),
 	}
 }
 

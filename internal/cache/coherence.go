@@ -1,4 +1,4 @@
-package core
+package cache
 
 import (
 	"context"
@@ -10,41 +10,22 @@ import (
 	"lusail/internal/endpoint"
 )
 
-// CoherenceMode selects how the engine reacts to a cached entry whose
-// data-version stamps no longer match the endpoints' current versions.
-type CoherenceMode int
-
-const (
-	// CoherenceEnforce (the default) fences: a version change
-	// invalidates the endpoint's cached state, and a stamped entry that
-	// slips past invalidation (stored mid-flight) is rejected at lookup.
-	CoherenceEnforce CoherenceMode = iota
-	// CoherenceObserve tracks versions and stamps entries but never
-	// invalidates or rejects: stale entries are served and counted
-	// (lusail_cache_stale_served_total) and their drops re-charged to
-	// the query's Completeness. This is the chaos harness's negative
-	// mode — it exists to prove the oracle check catches incoherence —
-	// and a diagnostic mode for measuring how much staleness a workload
-	// would see without the fence.
-	CoherenceObserve
-)
-
 // Coherence is the engine's cache-coherence fence. It tracks a
 // monotonic data version per endpoint (probed via
 // endpoint.DataVersionOf, amortized over a configurable window),
 // invalidates per-endpoint cached state when a version change is
-// detected, and verifies the version stamps the subquery cache put on
-// its entries. Endpoints that expose no version (ok=false from the
-// probe) are unverifiable: their cached state is served as before the
-// fence existed, and the engine's staleness verdict reports it.
+// detected (Enforce only), and verifies the version stamps every Cache
+// puts on its entries. Endpoints that expose no version (ok=false from
+// the probe) are unverifiable: their cached state is served as before
+// the fence existed, and the engine's staleness verdict reports it.
 //
-// Lock order: callers may hold a cache mutex when calling Versions /
-// StaleSources / NoteStale (cache.mu -> Coherence.mu); Coherence never
+// Lock order: a Cache holds its mutex when calling Stamps /
+// StaleSources / noteStale (Cache.mu -> Coherence.mu); Coherence never
 // calls into a cache while holding its own mutex — Refresh collects
 // changed endpoints under the lock and invalidates after releasing it.
 type Coherence struct {
 	window   time.Duration
-	mode     CoherenceMode
+	mode     Mode
 	eps      []endpoint.Endpoint
 	onChange func(name string)
 	now      func() time.Time
@@ -67,12 +48,13 @@ type epTrack struct {
 	checked   time.Time // last probe attempt
 }
 
-// NewCoherence builds a fence over eps. window amortizes probes: an
-// endpoint is re-probed only when its last probe is at least window
-// old (0 = probe on every Refresh). onChange is invoked — outside the
-// fence's lock — with each endpoint name whose version changed, in
-// enforce mode only; the engine wires it to InvalidateEndpointCaches.
-func NewCoherence(eps []endpoint.Endpoint, window time.Duration, mode CoherenceMode, onChange func(name string)) *Coherence {
+// NewCoherence builds a fence over eps in mode Enforce or Observe.
+// window amortizes probes: an endpoint is re-probed only when its last
+// probe is at least window old (0 = probe on every Refresh). onChange
+// is invoked — outside the fence's lock — with each endpoint name
+// whose version changed, in Enforce mode only; the engine wires it to
+// its per-endpoint cache invalidation.
+func NewCoherence(eps []endpoint.Endpoint, window time.Duration, mode Mode, onChange func(name string)) *Coherence {
 	return &Coherence{
 		window:   window,
 		mode:     mode,
@@ -85,7 +67,7 @@ func NewCoherence(eps []endpoint.Endpoint, window time.Duration, mode CoherenceM
 
 // Enforcing reports whether stale entries are rejected (vs. served and
 // counted).
-func (c *Coherence) Enforcing() bool { return c != nil && c.mode == CoherenceEnforce }
+func (c *Coherence) Enforcing() bool { return c != nil && c.mode == Enforce }
 
 // Refresh brings the tracked versions up to date, probing every
 // endpoint whose coherence window has lapsed, and — in enforce mode —
@@ -158,7 +140,7 @@ func (c *Coherence) Refresh(ctx context.Context) {
 	}
 	c.mu.Unlock()
 
-	if c.mode != CoherenceEnforce {
+	if c.mode != Enforce {
 		return
 	}
 	for _, name := range changed {
@@ -168,62 +150,84 @@ func (c *Coherence) Refresh(ctx context.Context) {
 	}
 }
 
-// Versions snapshots the tracked versions of the named endpoints, for
-// stamping a cache entry at store time. Endpoints that expose no
-// version are absent from the map — their entries are unverifiable,
-// not stale. Safe to call under a cache lock.
-func (c *Coherence) Versions(names []string) map[string]uint64 {
+// Stamp is one source endpoint's tracked data version when a cache
+// entry was stored; OK is false when the fence had no version for it
+// then.
+type Stamp struct {
+	Version uint64
+	OK      bool
+}
+
+// Stamps snapshots the tracked versions of the named endpoints, for
+// stamping a cache entry at store time: stamps[i] belongs to names[i].
+// It is nil when none of them is versioned — such an entry is
+// unverifiable, not stale. Safe to call under a cache lock.
+func (c *Coherence) Stamps(names []string) []Stamp {
 	if c == nil {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var out map[string]uint64
-	for _, n := range names {
+	var out []Stamp
+	for i, n := range names {
 		if t := c.tracked[n]; t != nil && t.versioned {
 			if out == nil {
-				out = make(map[string]uint64, len(names))
+				out = make([]Stamp, len(names))
 			}
-			out[n] = t.version
+			out[i] = Stamp{Version: t.version, OK: true}
 		}
 	}
 	return out
 }
 
+// Version reports the named endpoint's tracked data version; ok is
+// false when it is untracked or exposes no version.
+func (c *Coherence) Version(name string) (v uint64, ok bool) {
+	if c == nil {
+		return 0, false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if t := c.tracked[name]; t != nil && t.versioned {
+		return t.version, true
+	}
+	return 0, false
+}
+
 // StaleSources returns the endpoints among names whose tracked version
-// no longer matches the entry's stamps: stamped with an older version,
-// or — for a versioned endpoint — not stamped at all (the entry
-// predates version tracking). nil means the entry is coherent (or
-// unverifiable, which the fence deliberately does not punish). Safe to
-// call under a cache lock.
-func (c *Coherence) StaleSources(names []string, stamps map[string]uint64) []string {
+// no longer matches the entry's stamps (aligned with names): stamped
+// with another version, or — for a versioned endpoint — not stamped at
+// all (the entry predates version tracking). nil means the entry is
+// coherent (or unverifiable, which the fence deliberately does not
+// punish). Safe to call under a cache lock.
+func (c *Coherence) StaleSources(names []string, stamps []Stamp) []string {
 	if c == nil {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var stale []string
-	for _, n := range names {
+	for i, n := range names {
 		t := c.tracked[n]
 		if t == nil || !t.versioned {
 			continue
 		}
-		if v, ok := stamps[n]; !ok || v != t.version {
+		if i >= len(stamps) || !stamps[i].OK || stamps[i].Version != t.version {
 			stale = append(stale, n)
 		}
 	}
 	return stale
 }
 
-// NoteStale counts entries served despite stale stamps (observe mode).
-func (c *Coherence) NoteStale(n int) {
+// noteStale counts entries served despite stale stamps (Observe).
+func (c *Coherence) noteStale(n int) {
 	if c != nil {
 		c.staleServed.Add(int64(n))
 	}
 }
 
-// NoteFenced counts entries rejected at lookup by the version fence.
-func (c *Coherence) NoteFenced(n int) {
+// noteFenced counts entries rejected at lookup by the version fence.
+func (c *Coherence) noteFenced(n int) {
 	if c != nil {
 		c.fenced.Add(int64(n))
 	}
@@ -243,15 +247,16 @@ const (
 	// endpoint exposes no data version, so its cached state cannot be
 	// verified.
 	StalenessUnverified = "unverified"
-	// StalenessUnfenced: no fencing — coherence is disabled or running
-	// observe-only, so stale entries are served (and counted).
+	// StalenessUnfenced: no fencing — the fence only observes
+	// (Observe) or there is none (Unfenced), so stale entries may be
+	// served.
 	StalenessUnfenced = "unfenced"
 )
 
 // Verdict reports the engine-level staleness guarantee for a query
 // executed with caches enabled under this fence.
 func (c *Coherence) Verdict() string {
-	if c == nil || c.mode != CoherenceEnforce {
+	if c == nil || c.mode != Enforce {
 		return StalenessUnfenced
 	}
 	c.mu.Lock()
@@ -286,8 +291,9 @@ type CoherenceStats struct {
 	Probes      int64
 	ProbeErrors int64
 	Changes     int64
-	// StaleServed counts cache entries served despite stale version
-	// stamps (observe mode only; always 0 while enforcing).
+	// StaleServed counts cache entries — planning verdicts and
+	// subquery results alike — served despite stale version stamps
+	// (Observe only; always 0 while enforcing).
 	StaleServed int64
 	// Fenced counts cache entries rejected at lookup because their
 	// stamps no longer matched the endpoint's current version.

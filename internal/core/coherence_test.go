@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"lusail/internal/cache"
 	"lusail/internal/endpoint"
 	"lusail/internal/rdf"
 	"lusail/internal/sparql"
@@ -35,7 +36,7 @@ func (s *versionedStub) DataVersion(ctx context.Context) (uint64, error) {
 func TestCoherenceRefreshDetectsChange(t *testing.T) {
 	ep1, ep2 := testfed.Universities()
 	var invalidated []string
-	c := NewCoherence([]endpoint.Endpoint{ep1, ep2}, 0, CoherenceEnforce,
+	c := cache.NewCoherence([]endpoint.Endpoint{ep1, ep2}, 0, cache.Enforce,
 		func(name string) { invalidated = append(invalidated, name) })
 
 	// First probe establishes the baseline; nothing has "changed" yet.
@@ -69,7 +70,7 @@ func TestCoherenceRefreshDetectsChange(t *testing.T) {
 func TestCoherenceObserveNeverInvalidates(t *testing.T) {
 	ep1, ep2 := testfed.Universities()
 	fired := 0
-	c := NewCoherence([]endpoint.Endpoint{ep1, ep2}, 0, CoherenceObserve,
+	c := cache.NewCoherence([]endpoint.Endpoint{ep1, ep2}, 0, cache.Observe,
 		func(string) { fired++ })
 	c.Refresh(context.Background())
 	ep1.BumpDataVersion()
@@ -85,42 +86,22 @@ func TestCoherenceObserveNeverInvalidates(t *testing.T) {
 	}
 }
 
-// The window amortizes probes: within it, Refresh is free; past it,
-// endpoints are re-probed.
-func TestCoherenceWindowAmortizesProbes(t *testing.T) {
-	ep1, ep2 := testfed.Universities()
-	c := NewCoherence([]endpoint.Endpoint{ep1, ep2}, time.Minute, CoherenceEnforce, nil)
-	now := time.Unix(5000, 0)
-	c.now = func() time.Time { return now }
-
-	c.Refresh(context.Background())
-	c.Refresh(context.Background())
-	if st := c.Stats(); st.Probes != 2 {
-		t.Fatalf("probes within the window = %d, want 2 (one per endpoint)", st.Probes)
-	}
-	now = now.Add(time.Minute)
-	c.Refresh(context.Background())
-	if st := c.Stats(); st.Probes != 4 {
-		t.Errorf("probes after the window lapsed = %d, want 4", st.Probes)
-	}
-}
-
 // A probe failure is conservative: the endpoint keeps its last tracked
 // version (entries stamped with it stay servable), the error is
 // counted, and no invalidation fires.
 func TestCoherenceProbeErrorKeepsVersion(t *testing.T) {
 	stub := &versionedStub{name: "s", v: 7}
 	fired := 0
-	c := NewCoherence([]endpoint.Endpoint{stub}, 0, CoherenceEnforce, func(string) { fired++ })
+	c := cache.NewCoherence([]endpoint.Endpoint{stub}, 0, cache.Enforce, func(string) { fired++ })
 	c.Refresh(context.Background())
-	if got := c.Versions([]string{"s"}); got["s"] != 7 {
+	if got, _ := c.Version("s"); got != 7 {
 		t.Fatalf("tracked version = %v, want 7", got)
 	}
 
 	stub.fail = true
 	stub.v = 8 // the bump is invisible while probes fail
 	c.Refresh(context.Background())
-	if got := c.Versions([]string{"s"}); got["s"] != 7 {
+	if got, _ := c.Version("s"); got != 7 {
 		t.Errorf("failed probe moved the tracked version: %v", got)
 	}
 	st := c.Stats()
@@ -134,22 +115,22 @@ func TestCoherenceProbeErrorKeepsVersion(t *testing.T) {
 	if fired != 1 {
 		t.Errorf("post-recovery refresh fired %d invalidations, want 1", fired)
 	}
-	if got := c.Versions([]string{"s"}); got["s"] != 8 {
+	if got, _ := c.Version("s"); got != 8 {
 		t.Errorf("post-recovery version = %v, want 8", got)
 	}
 }
 
 func TestCoherenceStaleSources(t *testing.T) {
 	versioned := &versionedStub{name: "v", v: 3}
-	c := NewCoherence([]endpoint.Endpoint{versioned}, 0, CoherenceEnforce, nil)
+	c := cache.NewCoherence([]endpoint.Endpoint{versioned}, 0, cache.Enforce, nil)
 	c.Refresh(context.Background())
 
 	// Matching stamp: coherent.
-	if s := c.StaleSources([]string{"v"}, map[string]uint64{"v": 3}); s != nil {
+	if s := c.StaleSources([]string{"v"}, []cache.Stamp{{Version: 3, OK: true}}); s != nil {
 		t.Errorf("matching stamp reported stale: %v", s)
 	}
 	// Older stamp: stale.
-	if s := c.StaleSources([]string{"v"}, map[string]uint64{"v": 2}); len(s) != 1 {
+	if s := c.StaleSources([]string{"v"}, []cache.Stamp{{Version: 2, OK: true}}); len(s) != 1 {
 		t.Errorf("older stamp not reported: %v", s)
 	}
 	// Missing stamp on a versioned endpoint: the entry predates
@@ -167,37 +148,37 @@ func TestCoherenceVerdict(t *testing.T) {
 	ep1, ep2 := testfed.Universities()
 	eps := []endpoint.Endpoint{ep1, ep2}
 
-	enforce := NewCoherence(eps, 0, CoherenceEnforce, nil)
-	if v := enforce.Verdict(); v != StalenessUnverified {
-		t.Errorf("unprobed fence verdict = %q, want %q (nothing tracked yet)", v, StalenessUnverified)
+	enforce := cache.NewCoherence(eps, 0, cache.Enforce, nil)
+	if v := enforce.Verdict(); v != cache.StalenessUnverified {
+		t.Errorf("unprobed fence verdict = %q, want %q (nothing tracked yet)", v, cache.StalenessUnverified)
 	}
 	enforce.Refresh(context.Background())
-	if v := enforce.Verdict(); v != StalenessFresh {
-		t.Errorf("window-0 verdict = %q, want %q", v, StalenessFresh)
+	if v := enforce.Verdict(); v != cache.StalenessFresh {
+		t.Errorf("window-0 verdict = %q, want %q", v, cache.StalenessFresh)
 	}
 
-	windowed := NewCoherence(eps, time.Minute, CoherenceEnforce, nil)
+	windowed := cache.NewCoherence(eps, time.Minute, cache.Enforce, nil)
 	windowed.Refresh(context.Background())
-	if v := windowed.Verdict(); v != StalenessBounded {
-		t.Errorf("windowed verdict = %q, want %q", v, StalenessBounded)
+	if v := windowed.Verdict(); v != cache.StalenessBounded {
+		t.Errorf("windowed verdict = %q, want %q", v, cache.StalenessBounded)
 	}
 
 	// One version-less endpoint downgrades the verdict.
-	mixed := NewCoherence([]endpoint.Endpoint{ep1, opaqueCoherenceEndpoint{}}, 0, CoherenceEnforce, nil)
+	mixed := cache.NewCoherence([]endpoint.Endpoint{ep1, opaqueCoherenceEndpoint{}}, 0, cache.Enforce, nil)
 	mixed.Refresh(context.Background())
-	if v := mixed.Verdict(); v != StalenessUnverified {
-		t.Errorf("mixed verdict = %q, want %q", v, StalenessUnverified)
+	if v := mixed.Verdict(); v != cache.StalenessUnverified {
+		t.Errorf("mixed verdict = %q, want %q", v, cache.StalenessUnverified)
 	}
 
-	observe := NewCoherence(eps, 0, CoherenceObserve, nil)
+	observe := cache.NewCoherence(eps, 0, cache.Observe, nil)
 	observe.Refresh(context.Background())
-	if v := observe.Verdict(); v != StalenessUnfenced {
-		t.Errorf("observe verdict = %q, want %q", v, StalenessUnfenced)
+	if v := observe.Verdict(); v != cache.StalenessUnfenced {
+		t.Errorf("observe verdict = %q, want %q", v, cache.StalenessUnfenced)
 	}
 
-	var nilFence *Coherence
-	if v := nilFence.Verdict(); v != StalenessUnfenced {
-		t.Errorf("nil fence verdict = %q, want %q", v, StalenessUnfenced)
+	var nilFence *cache.Coherence
+	if v := nilFence.Verdict(); v != cache.StalenessUnfenced {
+		t.Errorf("nil fence verdict = %q, want %q", v, cache.StalenessUnfenced)
 	}
 }
 
@@ -209,19 +190,17 @@ func (opaqueCoherenceEndpoint) Query(ctx context.Context, q string) (*sparql.Res
 	return &sparql.Results{}, nil
 }
 
-// Every method must be safe on a nil fence — the engine runs with
-// coherence disabled (DisableCoherence) by passing nil around.
+// Every method must be safe on a nil fence — the engine runs without
+// one (Caching Unfenced or Off) by passing nil around.
 func TestCoherenceNilSafety(t *testing.T) {
-	var c *Coherence
+	var c *cache.Coherence
 	c.Refresh(context.Background())
-	if c.Versions([]string{"a"}) != nil {
+	if c.Stamps([]string{"a"}) != nil {
 		t.Error("nil fence returned versions")
 	}
 	if c.StaleSources([]string{"a"}, nil) != nil {
 		t.Error("nil fence reported staleness")
 	}
-	c.NoteStale(1)
-	c.NoteFenced(1)
 	if c.Enforcing() {
 		t.Error("nil fence enforces")
 	}
@@ -252,8 +231,8 @@ func TestEngineChurnInvalidatesEnforce(t *testing.T) {
 		t.Errorf("post-churn rows = %d, want 1 (every MIT row dropped)", res.Len())
 	}
 	m := l.LastMetrics()
-	if m.Staleness != StalenessFresh {
-		t.Errorf("staleness verdict = %q, want %q", m.Staleness, StalenessFresh)
+	if m.Staleness != cache.StalenessFresh {
+		t.Errorf("staleness verdict = %q, want %q", m.Staleness, cache.StalenessFresh)
 	}
 	if st := l.CoherenceStats(); st.Changes == 0 {
 		t.Error("churn went undetected by the fence")
@@ -267,7 +246,7 @@ func TestEngineChurnInvalidatesEnforce(t *testing.T) {
 func TestEngineChurnServesStaleObserve(t *testing.T) {
 	ep1, ep2 := testfed.Universities()
 	eps := []endpoint.Endpoint{ep1, ep2}
-	l := New(eps, Config{SubqueryCacheSize: 64, CoherenceObserveOnly: true})
+	l := New(eps, Config{SubqueryCacheSize: 64, Caching: cache.Observe})
 
 	before, err := l.Execute(context.Background(), testfed.QaChain)
 	if err != nil {
@@ -283,10 +262,32 @@ func TestEngineChurnServesStaleObserve(t *testing.T) {
 		t.Errorf("observe mode did not serve the stale cached rows.\n got: %v\nwant: %v",
 			testfed.Canon(after), testfed.Canon(before))
 	}
-	if m.Staleness != StalenessUnfenced {
-		t.Errorf("staleness verdict = %q, want %q", m.Staleness, StalenessUnfenced)
+	if m.Staleness != cache.StalenessUnfenced {
+		t.Errorf("staleness verdict = %q, want %q", m.Staleness, cache.StalenessUnfenced)
 	}
 	if st := l.CoherenceStats(); st.StaleServed == 0 {
 		t.Error("stale service went uncounted")
+	}
+}
+
+// Observe mode stamps and checks every cache, not only subquery
+// results: a stale ASK verdict served after churn is counted, although
+// (being a planning verdict) it is not charged to Completeness.
+func TestObserveCountsStalePlanningServes(t *testing.T) {
+	ep1, ep2 := testfed.Universities()
+	newPred := testfed.IRI("newPred")
+	ep2.ApplyChurn(rdf.Graph{rdf.T(testfed.IRI("a"), newPred, testfed.IRI("b"))}, nil)
+	l := New([]endpoint.Endpoint{ep1, ep2}, Config{Caching: cache.Observe})
+	q := `SELECT ?x ?y WHERE { ?x <http://ex/newPred> ?y }`
+
+	if _, err := l.Execute(context.Background(), q); err != nil {
+		t.Fatal(err)
+	}
+	ep1.ApplyChurn(rdf.Graph{rdf.T(testfed.IRI("c"), newPred, testfed.IRI("d"))}, nil)
+	if _, err := l.Execute(context.Background(), q); err != nil {
+		t.Fatal(err)
+	}
+	if st := l.CoherenceStats(); st.StaleServed == 0 {
+		t.Errorf("stale ASK verdict served uncounted: %+v", st)
 	}
 }

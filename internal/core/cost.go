@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"strings"
-	"sync"
-	"sync/atomic"
 
+	"lusail/internal/cache"
 	"lusail/internal/endpoint"
 	"lusail/internal/federation"
 	"lusail/internal/sparql"
@@ -56,109 +54,6 @@ func (p DelayPolicy) String() string {
 	}
 }
 
-// CountCache caches per-endpoint triple-pattern cardinalities across
-// queries, mirroring the statistics RDF engines keep (§V-A). Keys are
-// "<endpoint name>\x00<count query text>". Every store goes through the
-// generation-fenced PutAt — there is deliberately no unfenced store
-// path, so a probe that raced an invalidation can never resurrect a
-// cardinality for data that no longer exists.
-type CountCache struct {
-	mu sync.RWMutex
-	m  map[string]float64
-	// gen fences in-flight stores, like AskCache.gen: counts probed
-	// before a Clear/InvalidateEndpoint are not stored after it.
-	gen uint64
-
-	// Counters are atomics so Get can stay on the read lock.
-	hits, misses int64
-}
-
-// NewCountCache returns an empty cache.
-func NewCountCache() *CountCache { return &CountCache{m: map[string]float64{}} }
-
-// Get looks up a cached count.
-func (c *CountCache) Get(key string) (float64, bool) {
-	if c == nil {
-		return 0, false
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	v, ok := c.m[key]
-	if ok {
-		atomic.AddInt64(&c.hits, 1)
-	} else {
-		atomic.AddInt64(&c.misses, 1)
-	}
-	return v, ok
-}
-
-// Gen returns the cache's invalidation generation, captured before the
-// COUNT probes whose values will be stored through PutAt.
-func (c *CountCache) Gen() uint64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.gen
-}
-
-// PutAt stores a count unless the cache was cleared or invalidated
-// since the caller captured gen.
-func (c *CountCache) PutAt(gen uint64, key string, v float64) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if gen != c.gen {
-		return
-	}
-	c.m[key] = v
-}
-
-// Clear removes all entries.
-func (c *CountCache) Clear() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m = map[string]float64{}
-	c.gen++
-}
-
-// InvalidateEndpoint drops every cached cardinality for the named
-// endpoint — the hook for callers that know its data changed.
-func (c *CountCache) InvalidateEndpoint(name string) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	prefix := name + "\x00"
-	for k := range c.m {
-		if strings.HasPrefix(k, prefix) {
-			delete(c.m, k)
-		}
-	}
-	c.gen++
-}
-
-// Stats snapshots the cache's counters.
-func (c *CountCache) Stats() CacheStats {
-	if c == nil {
-		return CacheStats{}
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return CacheStats{
-		Hits:    atomic.LoadInt64(&c.hits),
-		Misses:  atomic.LoadInt64(&c.misses),
-		Entries: len(c.m),
-	}
-}
-
 // CostModel estimates subquery cardinalities from lightweight COUNT
 // statistics queries (§V-A). When the optional statistics hooks are
 // wired (internal/stats via core.Config.Statistics), precomputed
@@ -169,7 +64,10 @@ func (c *CountCache) Stats() CacheStats {
 type CostModel struct {
 	Endpoints []endpoint.Endpoint
 	Handler   *federation.Handler
-	Cache     *CountCache
+	// Cache holds per-endpoint pattern cardinalities across queries,
+	// keyed by endpoint and COUNT text, mirroring the statistics RDF
+	// engines keep (§V-A).
+	Cache *cache.Cache[float64]
 
 	// PatternCard, when non-nil, answers the cardinality of an
 	// unfiltered triple pattern at endpoint ei from a precomputed
@@ -188,8 +86,8 @@ type CostModel struct {
 }
 
 // NewCostModel builds a cost model over the endpoints.
-func NewCostModel(eps []endpoint.Endpoint, cache *CountCache) *CostModel {
-	return &CostModel{Endpoints: eps, Handler: federation.NewHandler(len(eps)), Cache: cache}
+func NewCostModel(eps []endpoint.Endpoint, c *cache.Cache[float64]) *CostModel {
+	return &CostModel{Endpoints: eps, Handler: federation.NewHandler(len(eps)), Cache: c}
 }
 
 // countVar is the projection variable every COUNT probe declares; the
@@ -277,8 +175,7 @@ func (cm *CostModel) EstimateCards(ctx context.Context, sqs []*Subquery) (Estima
 				if _, seen := counts[key]; seen {
 					continue
 				}
-				cacheKey := cm.Endpoints[ei].Name() + "\x00" + cq
-				if v, ok := cm.Cache.Get(cacheKey); ok {
+				if v, ok := cm.Cache.Get(cache.EndpointKey(cm.Endpoints[ei].Name(), cq)); ok {
 					counts[key] = v
 					continue
 				}
@@ -357,7 +254,8 @@ func (cm *CostModel) applyCountResults(results []federation.TaskResult, order []
 			return err
 		}
 		counts[order[i]] = v
-		cm.Cache.PutAt(cacheGen, cm.Endpoints[order[i].ep].Name()+"\x00"+order[i].query, v)
+		name := cm.Endpoints[order[i].ep].Name()
+		cm.Cache.PutAt(cacheGen, cache.EndpointKey(name, order[i].query), []string{name}, v)
 	}
 	for key, v := range counts {
 		if v < 0 {

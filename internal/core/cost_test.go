@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"lusail/internal/cache"
 	"lusail/internal/endpoint"
 	"lusail/internal/federation"
 	"lusail/internal/rdf"
@@ -71,7 +72,7 @@ func TestCountQueryPushesFilters(t *testing.T) {
 
 func TestEstimateCards(t *testing.T) {
 	eps := uniEndpoints()
-	cm := NewCostModel(eps, NewCountCache())
+	cm := NewCostModel(eps, cache.New[float64](cache.PlanningEntries, 0, nil))
 	q := sparql.MustParse(testfed.QaChain)
 	// Subqueries mirroring the chain decomposition.
 	sq1 := &Subquery{Patterns: q.Where.Patterns[0:2], Sources: []int{0, 1}, OptionalGroup: -1}
@@ -112,7 +113,7 @@ func TestEstimateCards(t *testing.T) {
 func TestEstimateCardsMinOverPatterns(t *testing.T) {
 	// C(sq, v, ep) must be the min across patterns sharing v.
 	eps := uniEndpoints()
-	cm := NewCostModel(eps, NewCountCache())
+	cm := NewCostModel(eps, cache.New[float64](cache.PlanningEntries, 0, nil))
 	q := sparql.MustParse(`SELECT * WHERE {
 		?s <http://ex/advisor> ?p .
 		?s a <http://ex/GraduateStudent> .
@@ -266,27 +267,30 @@ func TestCountValueSelectsDeclaredColumn(t *testing.T) {
 }
 
 func TestCountCacheHasNoUnfencedStore(t *testing.T) {
-	// Regression: CountCache used to expose Put(key, v), which stored
-	// unconditionally — a caller holding a stale count could resurrect
-	// it right after InvalidateEndpoint dropped that endpoint's
-	// entries. All stores must go through the generation-fenced PutAt.
-	if _, leaky := interface{}(NewCountCache()).(interface{ Put(string, float64) }); leaky {
-		t.Fatal("CountCache exposes an unfenced Put; every store must check the invalidation generation")
+	// Regression: the COUNT cache used to expose Put(key, v), which
+	// stored unconditionally — a caller holding a stale count could
+	// resurrect it right after InvalidateEndpoint dropped that
+	// endpoint's entries. All stores must go through the
+	// generation-fenced PutAt.
+	c := NewCostModel(uniEndpoints(), cache.New[float64](cache.PlanningEntries, 0, nil)).Cache
+	if _, leaky := interface{}(c).(interface{ Put(string, float64) }); leaky {
+		t.Fatal("the COUNT cache exposes an unfenced Put; every store must check the invalidation generation")
 	}
 }
 
 func TestCountCachePutFencedByInvalidation(t *testing.T) {
-	c := NewCountCache()
+	c := cache.New[float64](cache.PlanningEntries, 0, nil)
+	key := cache.EndpointKey("ep1", "q")
 	gen := c.Gen()
 	// An invalidation lands between the probe and the store.
 	c.InvalidateEndpoint("ep1")
-	c.PutAt(gen, "ep1\x00q", 42)
-	if _, ok := c.Get("ep1\x00q"); ok {
+	c.PutAt(gen, key, []string{"ep1"}, 42)
+	if _, ok := c.Get(key); ok {
 		t.Error("stale count stored across an invalidation")
 	}
 	// A store at the current generation goes through.
-	c.PutAt(c.Gen(), "ep1\x00q", 7)
-	if v, ok := c.Get("ep1\x00q"); !ok || v != 7 {
+	c.PutAt(c.Gen(), key, []string{"ep1"}, 7)
+	if v, ok := c.Get(key); !ok || v != 7 {
 		t.Errorf("fresh store missing: %v %v", v, ok)
 	}
 }
@@ -297,7 +301,7 @@ func TestApplyCountResultsGuardsDroppedProbes(t *testing.T) {
 	// placeholder behind as a real cardinality — a "negative count"
 	// that made the dropped pattern look maximally selective.
 	eps := uniEndpoints()
-	cm := NewCostModel(eps, NewCountCache())
+	cm := NewCostModel(eps, cache.New[float64](cache.PlanningEntries, 0, nil))
 	order := []countProbe{{"q0", 0}, {"q1", 1}}
 	counts := map[countProbe]float64{{"q0", 0}: -1, {"q1", 1}: -1}
 	one := &sparql.Results{

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"lusail/internal/cache"
 	"lusail/internal/endpoint"
 	"lusail/internal/engine"
 	"lusail/internal/federation"
@@ -170,7 +171,7 @@ func TestLusailTraversalDecomposerMatchesOracle(t *testing.T) {
 
 func federationSelect(t *testing.T, eps []endpoint.Endpoint, q *sparql.Query) ([][]int, error) {
 	t.Helper()
-	sel, err := federation.NewSelector(eps, federation.NewAskCache()).Select(context.Background(), q)
+	sel, err := federation.NewSelector(eps, cache.New[bool](cache.PlanningEntries, 0, nil)).Select(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

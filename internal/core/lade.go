@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"lusail/internal/cache"
 	"lusail/internal/endpoint"
 	"lusail/internal/federation"
 	"lusail/internal/rdf"
@@ -70,7 +71,7 @@ type Decomposer struct {
 	Handler   *federation.Handler
 	// CheckCache caches check-query outcomes per endpoint (the paper
 	// caches ASK and check queries alike, §VI-B).
-	CheckCache *federation.AskCache
+	CheckCache *cache.Cache[bool]
 	// AssumeAllGlobal disables check queries and treats every shared
 	// variable as a GJV; used by the LADE ablation experiment.
 	AssumeAllGlobal bool
@@ -85,7 +86,7 @@ type Decomposer struct {
 }
 
 // NewDecomposer builds a decomposer over the endpoints.
-func NewDecomposer(eps []endpoint.Endpoint, checkCache *federation.AskCache) *Decomposer {
+func NewDecomposer(eps []endpoint.Endpoint, checkCache *cache.Cache[bool]) *Decomposer {
 	return &Decomposer{
 		Endpoints:  eps,
 		Handler:    federation.NewHandler(len(eps)),
@@ -179,7 +180,7 @@ func (d *Decomposer) DetectGJVs(ctx context.Context, patterns []sparql.TriplePat
 		}
 		for _, ei := range sources[c.pair.i] {
 			ep := d.Endpoints[ei]
-			if val, ok := d.CheckCache.Get(ep.Name(), c.query); ok {
+			if val, ok := d.CheckCache.Get(cache.EndpointKey(ep.Name(), c.query)); ok {
 				if val {
 					flagged[c.v] = true
 				}
@@ -225,7 +226,8 @@ func (d *Decomposer) DetectGJVs(ctx context.Context, patterns []sparql.TriplePat
 			return nil, fmt.Errorf("lade check query at %s: %w", probes[i].ep.Name(), tr.Err)
 		}
 		nonEmpty := tr.Res.Len() > 0
-		d.CheckCache.PutAt(cacheGen, probes[i].ep.Name(), probes[i].chk.query, nonEmpty)
+		name := probes[i].ep.Name()
+		d.CheckCache.PutAt(cacheGen, cache.EndpointKey(name, probes[i].chk.query), []string{name}, nonEmpty)
 		if nonEmpty {
 			flagged[probes[i].chk.v] = true
 		}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"lusail/internal/cache"
 	"lusail/internal/store"
 
 	"lusail/internal/endpoint"
@@ -25,11 +26,11 @@ func analyzeQa(t *testing.T) (*GJVReport, []sparql.TriplePattern, [][]int, []end
 	t.Helper()
 	eps := uniEndpoints()
 	q := sparql.MustParse(testfed.Qa)
-	sel, err := federation.NewSelector(eps, federation.NewAskCache()).Select(context.Background(), q)
+	sel, err := federation.NewSelector(eps, cache.New[bool](cache.PlanningEntries, 0, nil)).Select(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := NewDecomposer(eps, federation.NewAskCache())
+	d := NewDecomposer(eps, cache.New[bool](cache.PlanningEntries, 0, nil))
 	rep, err := d.DetectGJVs(context.Background(), q.Where.Patterns, sel.Sources, TypeConstraints(q.Where.Patterns))
 	if err != nil {
 		t.Fatal(err)
@@ -65,11 +66,11 @@ func TestDetectGJVFalsePositive(t *testing.T) {
 		?S <http://ex/advisor> ?P .
 		?P <http://ex/teacherOf> ?C .
 	}`)
-	sel, err := federation.NewSelector(eps, federation.NewAskCache()).Select(context.Background(), q)
+	sel, err := federation.NewSelector(eps, cache.New[bool](cache.PlanningEntries, 0, nil)).Select(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := NewDecomposer(eps, federation.NewAskCache())
+	d := NewDecomposer(eps, cache.New[bool](cache.PlanningEntries, 0, nil))
 	rep, err := d.DetectGJVs(context.Background(), q.Where.Patterns, sel.Sources, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -89,11 +90,11 @@ func TestDetectGJVBySourceMismatch(t *testing.T) {
 		?s <http://ex/advisor> ?p .
 		?s <http://ex/mitOnly> ?x .
 	}`)
-	sel, err := federation.NewSelector(eps, federation.NewAskCache()).Select(context.Background(), q)
+	sel, err := federation.NewSelector(eps, cache.New[bool](cache.PlanningEntries, 0, nil)).Select(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := NewDecomposer(eps, federation.NewAskCache())
+	d := NewDecomposer(eps, cache.New[bool](cache.PlanningEntries, 0, nil))
 	rep, err := d.DetectGJVs(context.Background(), q.Where.Patterns, sel.Sources, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -109,8 +110,8 @@ func TestDetectGJVBySourceMismatch(t *testing.T) {
 func TestDetectGJVsNoSharedVariables(t *testing.T) {
 	eps := uniEndpoints()
 	q := sparql.MustParse(`SELECT * WHERE { ?s <http://ex/advisor> ?p . ?x <http://ex/address> ?a }`)
-	sel, _ := federation.NewSelector(eps, federation.NewAskCache()).Select(context.Background(), q)
-	d := NewDecomposer(eps, federation.NewAskCache())
+	sel, _ := federation.NewSelector(eps, cache.New[bool](cache.PlanningEntries, 0, nil)).Select(context.Background(), q)
+	d := NewDecomposer(eps, cache.New[bool](cache.PlanningEntries, 0, nil))
 	rep, err := d.DetectGJVs(context.Background(), q.Where.Patterns, sel.Sources, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -152,8 +153,8 @@ func TestCheckQueryShape(t *testing.T) {
 func TestCheckQueriesAreCached(t *testing.T) {
 	eps := uniEndpoints()
 	q := sparql.MustParse(testfed.Qa)
-	sel, _ := federation.NewSelector(eps, federation.NewAskCache()).Select(context.Background(), q)
-	d := NewDecomposer(eps, federation.NewAskCache())
+	sel, _ := federation.NewSelector(eps, cache.New[bool](cache.PlanningEntries, 0, nil)).Select(context.Background(), q)
+	d := NewDecomposer(eps, cache.New[bool](cache.PlanningEntries, 0, nil))
 	rep1, err := d.DetectGJVs(context.Background(), q.Where.Patterns, sel.Sources, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -215,8 +216,8 @@ func TestDecomposeDisjointQuery(t *testing.T) {
 		?s <http://ex/advisor> ?p .
 		?s <http://ex/takesCourse> ?c .
 	}`)
-	sel, _ := federation.NewSelector(eps, federation.NewAskCache()).Select(context.Background(), q)
-	d := NewDecomposer(eps, federation.NewAskCache())
+	sel, _ := federation.NewSelector(eps, cache.New[bool](cache.PlanningEntries, 0, nil)).Select(context.Background(), q)
+	d := NewDecomposer(eps, cache.New[bool](cache.PlanningEntries, 0, nil))
 	rep, err := d.DetectGJVs(context.Background(), q.Where.Patterns, sel.Sources, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -232,8 +233,8 @@ func TestDecomposeAssumeAllGlobal(t *testing.T) {
 	// per subquery.
 	eps := uniEndpoints()
 	q := sparql.MustParse(testfed.Qa)
-	sel, _ := federation.NewSelector(eps, federation.NewAskCache()).Select(context.Background(), q)
-	d := NewDecomposer(eps, federation.NewAskCache())
+	sel, _ := federation.NewSelector(eps, cache.New[bool](cache.PlanningEntries, 0, nil)).Select(context.Background(), q)
+	d := NewDecomposer(eps, cache.New[bool](cache.PlanningEntries, 0, nil))
 	d.AssumeAllGlobal = true
 	rep, err := d.DetectGJVs(context.Background(), q.Where.Patterns, sel.Sources, nil)
 	if err != nil {
@@ -319,11 +320,11 @@ func roleFixture(build func(st1, st2 *store.Store)) []endpoint.Endpoint {
 func gjvFor(t *testing.T, eps []endpoint.Endpoint, query string) *GJVReport {
 	t.Helper()
 	q := sparql.MustParse(query)
-	sel, err := federation.NewSelector(eps, federation.NewAskCache()).Select(context.Background(), q)
+	sel, err := federation.NewSelector(eps, cache.New[bool](cache.PlanningEntries, 0, nil)).Select(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := NewDecomposer(eps, federation.NewAskCache())
+	d := NewDecomposer(eps, cache.New[bool](cache.PlanningEntries, 0, nil))
 	rep, err := d.DetectGJVs(context.Background(), q.Where.Patterns, sel.Sources, TypeConstraints(q.Where.Patterns))
 	if err != nil {
 		t.Fatal(err)

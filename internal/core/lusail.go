@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"lusail/internal/cache"
 	"lusail/internal/endpoint"
 	"lusail/internal/engine"
 	"lusail/internal/federation"
@@ -25,8 +26,11 @@ type Config struct {
 	BindBlockSize int
 	// Workers bounds join parallelism (0 = GOMAXPROCS).
 	Workers int
-	// DisableCache turns off the ASK / check-query / COUNT caches.
-	DisableCache bool
+	// Caching selects how planning verdicts (ASK, check, COUNT) and
+	// subquery results are cached and fenced against endpoint data
+	// changes: cache.Enforce (the default), Observe, Unfenced, or Off,
+	// which builds no caches at all.
+	Caching cache.Mode
 	// AssumeAllGlobal disables locality check queries, treating every
 	// shared variable as global (LADE ablation: pure schema-based
 	// decomposition, one pattern at a time when schemas overlap).
@@ -89,20 +93,9 @@ type Config struct {
 	// per query start, so a cached entry can be served at most one
 	// window past a data change. 0 (the default) probes at every query
 	// start — the strictest setting; probes are free on local endpoints
-	// and one HEAD request on HTTP ones.
+	// and one HEAD request on HTTP ones. Only meaningful when Caching
+	// is Enforce or Observe.
 	CoherenceWindow time.Duration
-	// DisableCoherence turns the fence off entirely: no version probes,
-	// no stamp verification, no change-driven invalidation — the
-	// pre-coherence behavior, where churned endpoints can silently serve
-	// stale cached results. Queries then report the "unfenced" verdict.
-	DisableCoherence bool
-	// CoherenceObserveOnly keeps the fence probing and stamping but
-	// never invalidating or rejecting: stale entries are served, counted
-	// (CoherenceStats.StaleServed), and re-charged to the query's
-	// Completeness. Used by the chaos harness to prove its oracle
-	// catches incoherence, and as a diagnostic for measuring staleness
-	// exposure.
-	CoherenceObserveOnly bool
 	// QueryLog, when non-nil, receives a lifecycle event pair for
 	// every query execution (Execute, ExecuteMetrics, ExecuteTraced,
 	// and each ExecuteBatch member): QueryStarted assigns the query's
@@ -189,8 +182,9 @@ type Metrics struct {
 	// Hedges counts the backup attempts launched for this query's
 	// phase-1 requests (non-zero only with Config.Hedge set).
 	Hedges int
-	// SharedSubqueries counts subquery executions saved by the
-	// multi-query optimization cache (ExecuteBatch only).
+	// SharedSubqueries counts this query's phase-1 subquery
+	// evaluations reused through the subquery cache (a retained result
+	// or another query's in-flight one) instead of sent to endpoints.
 	SharedSubqueries int
 	// ChunkSplits counts the VALUES-block bisections phase-2 performed
 	// after an endpoint rejected or timed out on a block.
@@ -203,7 +197,7 @@ type Metrics struct {
 	Completeness     *sparql.Completeness
 	// Staleness is the query's coherence verdict: what guarantee its
 	// cached reuse carried ("fresh", "bounded", "unverified",
-	// "unfenced"). See the Staleness* constants.
+	// "unfenced"). See the cache.Staleness* constants.
 	Staleness string
 }
 
@@ -225,12 +219,14 @@ type Lusail struct {
 	eps []endpoint.Endpoint
 	cfg Config
 
-	askCache   *federation.AskCache
-	checkCache *federation.AskCache
-	countCache *CountCache
-	sqCache    *SubqueryCache // nil unless Config.SubqueryCacheSize > 0
-	coherence  *Coherence     // nil when Config.DisableCoherence
-	stats      *stats.Service // nil unless Config.Statistics
+	// Every cache is nil under cache.Off; sqCache also unless
+	// Config.SubqueryCacheSize > 0.
+	askCache   *cache.Cache[bool]
+	checkCache *cache.Cache[bool]
+	countCache *cache.Cache[float64]
+	sqCache    *cache.Cache[*Relation]
+	coherence  *cache.Coherence // nil unless Caching is Enforce or Observe
+	stats      *stats.Service   // nil unless Config.Statistics
 
 	selector   *federation.Selector
 	decomposer *Decomposer
@@ -261,26 +257,20 @@ func New(eps []endpoint.Endpoint, cfg Config) *Lusail {
 	if cfg.Instrument {
 		eps = endpoint.WrapInstrumented(eps)
 	}
-	l := &Lusail{
-		eps:        eps,
-		cfg:        cfg,
-		askCache:   federation.NewAskCache(),
-		checkCache: federation.NewAskCache(),
-		countCache: NewCountCache(),
-	}
-	if cfg.SubqueryCacheSize > 0 {
-		l.sqCache = NewBoundedSubqueryCache(cfg.SubqueryCacheSize, cfg.SubqueryCacheTTL)
-	}
-	if !cfg.DisableCoherence {
-		mode := CoherenceEnforce
-		if cfg.CoherenceObserveOnly {
-			mode = CoherenceObserve
-		}
+	l := &Lusail{eps: eps, cfg: cfg}
+	if cfg.Caching == cache.Enforce || cfg.Caching == cache.Observe {
 		// onChange fences a bumped endpoint: per-endpoint invalidation
 		// advances every cache's generation, so stores by queries already
 		// in flight (which may have read pre-change data) are refused.
-		l.coherence = NewCoherence(eps, cfg.CoherenceWindow, mode, l.InvalidateEndpointCaches)
-		l.sqCache.SetFence(l.coherence)
+		l.coherence = cache.NewCoherence(eps, cfg.CoherenceWindow, cfg.Caching, l.InvalidateEndpointCaches)
+	}
+	if cfg.Caching != cache.Off {
+		l.askCache = cache.New[bool](cache.PlanningEntries, 0, l.coherence)
+		l.checkCache = cache.New[bool](cache.PlanningEntries, 0, l.coherence)
+		l.countCache = cache.New[float64](cache.PlanningEntries, 0, l.coherence)
+		if cfg.SubqueryCacheSize > 0 {
+			l.sqCache = cache.New[*Relation](cfg.SubqueryCacheSize, cfg.SubqueryCacheTTL, l.coherence)
+		}
 	}
 	l.selector = federation.NewSelector(eps, l.askCache)
 	l.decomposer = NewDecomposer(eps, l.checkCache)
@@ -347,9 +337,7 @@ func (l *Lusail) wireStats(cfg stats.Config) {
 // endpoint is unversioned (summaries are then served unverified, the
 // coherence layer's own policy for unverifiable endpoints).
 func (l *Lusail) statsVersion(name string) (uint64, bool) {
-	vs := l.coherence.Versions([]string{name})
-	v, ok := vs[name]
-	return v, ok
+	return l.coherence.Version(name)
 }
 
 // predKeyOf is the calibration key of a pattern's predicate position;
@@ -364,23 +352,16 @@ func predKeyOf(tp sparql.TriplePattern) string {
 // Name implements federation.Engine.
 func (l *Lusail) Name() string { return "lusail" }
 
-// ClearCaches drops the ASK, check-query, COUNT, and subquery-result
-// caches (used by the cache-effect experiment, Fig. 10, and the
-// DisableCache ablation).
-func (l *Lusail) ClearCaches() {
-	l.askCache.Clear()
-	l.checkCache.Clear()
-	l.countCache.Clear()
-	l.sqCache.Clear()
-}
-
 // InvalidateCaches is the explicit cross-query invalidation hook:
 // callers that know federation data changed drop every retained
 // planning decision (source selection, LADE locality, COUNT
 // statistics), subquery result, and statistics summary. In-flight
 // computations complete for their waiters but are not re-stored.
 func (l *Lusail) InvalidateCaches() {
-	l.ClearCaches()
+	l.askCache.Clear()
+	l.checkCache.Clear()
+	l.countCache.Clear()
+	l.sqCache.Clear()
 	l.stats.Clear()
 }
 
@@ -395,6 +376,15 @@ func (l *Lusail) InvalidateEndpointCaches(name string) {
 	l.sqCache.InvalidateEndpoint(name)
 	l.stats.InvalidateEndpoint(name)
 }
+
+// CacheStats snapshots one engine cache's counters.
+type CacheStats = cache.Stats
+
+// CacheExemplar links a cache counter to a recent traced query.
+type CacheExemplar = cache.Exemplar
+
+// CoherenceStats snapshots the coherence fence for metrics export.
+type CoherenceStats = cache.CoherenceStats
 
 // CacheStatEntry names one engine cache alongside its counters and —
 // for caches probed on the traced query path — the most recent traced
@@ -422,10 +412,6 @@ func (l *Lusail) CacheStats() []CacheStatEntry {
 	}
 }
 
-// Coherence exposes the engine's cache-coherence fence (nil when
-// Config.DisableCoherence).
-func (l *Lusail) Coherence() *Coherence { return l.coherence }
-
 // StatsService exposes the offline statistics service (nil unless
 // Config.Statistics is set).
 func (l *Lusail) StatsService() *stats.Service { return l.stats }
@@ -443,8 +429,8 @@ func (l *Lusail) StatsSnapshot() stats.ServiceStats {
 }
 
 // CoherenceStats snapshots the fence: per-endpoint tracked data
-// versions plus probe/change/stale counters (zero value when the fence
-// is disabled).
+// versions plus probe/change/stale counters (zero value without a
+// fence: Caching Unfenced or Off).
 func (l *Lusail) CoherenceStats() CoherenceStats {
 	return l.coherence.Stats()
 }
@@ -599,7 +585,7 @@ func (l *Lusail) ExecuteStreamTraced(ctx context.Context, query string, onChunk 
 // engine's persistent one, if configured). The returned Metrics are
 // the call's own; the LastMetrics slot is additionally updated for
 // sequential callers.
-func (l *Lusail) execute(ctx context.Context, query string, sqCache *SubqueryCache, onChunk StreamSink) (res *sparql.Results, m Metrics, err error) {
+func (l *Lusail) execute(ctx context.Context, query string, sqCache *cache.Cache[*Relation], onChunk StreamSink) (res *sparql.Results, m Metrics, err error) {
 	if sqCache == nil {
 		sqCache = l.sqCache
 	}
@@ -660,9 +646,8 @@ func (l *Lusail) execute(ctx context.Context, query string, sqCache *SubqueryCac
 		l.last = m
 		l.mu.Unlock()
 	}()
-	if l.cfg.DisableCache {
-		l.ClearCaches()
-		m.Staleness = StalenessFresh // nothing cached survives to be reused
+	if l.cfg.Caching == cache.Off {
+		m.Staleness = cache.StalenessFresh // nothing is cached to be reused
 	} else {
 		// Fence before planning: version changes detected here
 		// invalidate the changed endpoints' cached state, so this
@@ -690,7 +675,7 @@ func (l *Lusail) execute(ctx context.Context, query string, sqCache *SubqueryCac
 // drain collects the query's whole solution stream and finalizes it:
 // DISTINCT, ORDER BY, COUNT, projection and LIMIT/OFFSET, or the ASK
 // verdict.
-func (l *Lusail) drain(ctx context.Context, q *sparql.Query, m *Metrics, sqCache *SubqueryCache) (*sparql.Results, error) {
+func (l *Lusail) drain(ctx context.Context, q *sparql.Query, m *Metrics, sqCache *cache.Cache[*Relation]) (*sparql.Results, error) {
 	needed := q.ProjectedVars()
 	for _, k := range q.OrderBy {
 		needed = append(needed, k.Var)
@@ -717,7 +702,7 @@ func (l *Lusail) drain(ctx context.Context, q *sparql.Query, m *Metrics, sqCache
 // stream delivers a streamable query's rows to onChunk as the executor
 // produces them, projecting each row and applying OFFSET and LIMIT per
 // chunk; a satisfied LIMIT stops the execution early.
-func (l *Lusail) stream(ctx context.Context, q *sparql.Query, m *Metrics, sqCache *SubqueryCache, onChunk StreamSink) (*sparql.Results, error) {
+func (l *Lusail) stream(ctx context.Context, q *sparql.Query, m *Metrics, sqCache *cache.Cache[*Relation], onChunk StreamSink) (*sparql.Results, error) {
 	proj := q.ProjectedVars()
 	emitted := 0
 	offset := q.Offset
@@ -819,7 +804,7 @@ type groupPlan struct {
 
 // runGroup runs the full Lusail pipeline for one group graph pattern,
 // streaming its solution rows into sink, and returns their header.
-func (l *Lusail) runGroup(ctx context.Context, g *sparql.GroupGraphPattern, needed []sparql.Var, m *Metrics, sqCache *SubqueryCache, sink StreamSink) ([]sparql.Var, error) {
+func (l *Lusail) runGroup(ctx context.Context, g *sparql.GroupGraphPattern, needed []sparql.Var, m *Metrics, sqCache *cache.Cache[*Relation], sink StreamSink) ([]sparql.Var, error) {
 	p, err := l.planGroup(ctx, g, needed, m, sqCache)
 	if err != nil {
 		return nil, err
@@ -836,7 +821,7 @@ func (l *Lusail) runGroup(ctx context.Context, g *sparql.GroupGraphPattern, need
 }
 
 // evalGroup is runGroup drained into one row slice.
-func (l *Lusail) evalGroup(ctx context.Context, g *sparql.GroupGraphPattern, needed []sparql.Var, m *Metrics, sqCache *SubqueryCache) ([]sparql.Binding, []sparql.Var, error) {
+func (l *Lusail) evalGroup(ctx context.Context, g *sparql.GroupGraphPattern, needed []sparql.Var, m *Metrics, sqCache *cache.Cache[*Relation]) ([]sparql.Binding, []sparql.Var, error) {
 	var rows []sparql.Binding
 	vars, err := l.runGroup(ctx, g, needed, m, sqCache, func(_ []sparql.Var, chunk []sparql.Binding) error {
 		rows = append(rows, chunk...)
@@ -855,6 +840,7 @@ func addExecStats(m *Metrics, stats *ExecStats) {
 	m.BoundBlocks += stats.BoundBlocks
 	m.ChunkSplits += stats.ChunkSplits
 	m.Replans += stats.Replans
+	m.SharedSubqueries += stats.Shared
 }
 
 // planGroup runs the compile-time pipeline for one group graph
@@ -863,7 +849,7 @@ func addExecStats(m *Metrics, stats *ExecStats) {
 // estimation, and delay marking — and materializes the extra relations
 // (UNION alternatives, VALUES blocks, nested OPTIONAL groups) the
 // executor joins alongside the subqueries.
-func (l *Lusail) planGroup(ctx context.Context, g *sparql.GroupGraphPattern, needed []sparql.Var, m *Metrics, sqCache *SubqueryCache) (*groupPlan, error) {
+func (l *Lusail) planGroup(ctx context.Context, g *sparql.GroupGraphPattern, needed []sparql.Var, m *Metrics, sqCache *cache.Cache[*Relation]) (*groupPlan, error) {
 	// ---- Phase: source selection --------------------------------
 	t := time.Now()
 	selCtx, selSpan, selFC := startPhase(ctx, "source-selection")

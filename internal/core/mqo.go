@@ -1,161 +1,66 @@
 package core
 
 import (
-	"container/list"
+	"context"
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
+	"lusail/internal/cache"
 	"lusail/internal/endpoint"
-	"lusail/internal/federation"
 	"lusail/internal/sparql"
-	"lusail/internal/trace"
-
-	"context"
 )
 
-// SubqueryCache shares materialized subquery results across queries —
-// the multi-query optimization the paper lists among Lusail's
-// supported features (§V), extended from batch-only sharing to a
-// persistent cross-query tier. Two queries that decompose to the same
-// subquery over the same sources execute it once; the cache is
-// single-flight, so concurrent callers wait for an in-flight execution
-// instead of duplicating it, and completed results are retained (with
-// optional TTL expiry and LRU eviction bounds) for later queries.
-//
-// Correctness contract:
+// The subquery cache shares materialized subquery results across
+// queries — the multi-query optimization the paper lists among
+// Lusail's supported features (§V), extended from batch-only sharing
+// to a persistent cross-query tier. It is a cache.Cache[*Relation];
+// the subquery policy around it lives here:
 //
 //   - Keys are stable: endpoint identity is the endpoint name, not its
 //     position in a particular engine's endpoint list (SubqueryKey).
-//   - Reads are copies: every hit returns a Relation whose Vars, Rows,
-//     and Dropped slices are private to the caller (the Binding maps
-//     are shared — they are never mutated after creation), so
-//     concurrent consumers can sort, re-slice, and re-stamp their copy
-//     without racing each other.
-//   - Degradation-aware: a partial relation (non-empty Dropped,
-//     computed under an absorbing policy) is only served to callers
-//     that declare they can absorb it by merging the drop records into
-//     their own completeness report. A strict caller (DegradeFail, no
-//     policy) recomputes instead, and a complete recomputation
-//     replaces the partial entry.
-//   - Errors are not cached and waiters retry: a caller that was
-//     blocked on a computation that failed re-enters the compute loop
-//     (bounded) instead of receiving the stale error, and only
-//     successful reuse counts as a hit.
-type SubqueryCache struct {
-	mu         sync.Mutex
-	inflight   map[string]*sqCall
-	entries    map[string]*list.Element
-	lru        *list.List // front = most recently used
-	maxEntries int
-	ttl        time.Duration
-	now        func() time.Time
-	// onWait, when non-nil, runs just before a Do call blocks on an
-	// in-flight computation — a deterministic join signal for tests that
-	// would otherwise sleep and hope the waiter arrived.
-	onWait func(key string)
-	// gen invalidates in-flight computations: a result whose compute
-	// began before the last Clear/Invalidate call is not stored.
-	gen uint64
-	// fence, when set, verifies each entry's data-version stamps at
-	// lookup (SetFence; nil = unfenced, the pre-coherence behavior).
-	fence *Coherence
-
-	hits, misses, evictions, expirations int64
-	// hitEx/missEx link the counters to the most recent sampled traced
-	// query that hit or missed, for OpenMetrics exemplar exposition.
-	hitEx, missEx *CacheExemplar
-}
-
-// CacheExemplar links a cache counter to a recent traced query — the
-// trace to inspect when a hit or miss rate moves.
-type CacheExemplar struct {
-	TraceID string
-	At      time.Time
-}
-
-// cacheExemplarFrom extracts the exemplar identity of the span riding
-// ctx; nil for untraced or unsampled executions (their spans never
-// reach a collector, so linking to them would dangle).
-func cacheExemplarFrom(ctx context.Context) *CacheExemplar {
-	sp := trace.SpanFrom(ctx)
-	if sp == nil || !sp.Sampled() || sp.TraceID().IsZero() {
-		return nil
-	}
-	return &CacheExemplar{TraceID: sp.TraceID().String(), At: time.Now()}
-}
-
-// sqCall is one in-flight computation; waiters block on ready.
-type sqCall struct {
-	ready chan struct{}
-	rel   *Relation
-	err   error
-	gen   uint64
-}
-
-// sqEntry is one completed, retained result.
-type sqEntry struct {
-	key     string
-	rel     *Relation
-	expires time.Time // zero = never
-	// srcs are the entry's source endpoint names (parsed from the key
-	// once at store time) and versions the data versions the fence
-	// tracked when the entry was stored — the stamps lookups verify.
-	// A version that advances between compute start and store makes
-	// the stamp conservative (the entry is fenced although its data
-	// may be current), never permissive.
-	srcs     []string
-	versions map[string]uint64
-}
-
-// CacheStats snapshots one cache's counters. Hits count successful
-// reuse only (error deliveries and policy-bypassed partials are not
-// hits); Expirations count TTL-stale entries dropped on access. The
-// struct is shared with the planning caches (federation.AskCache,
-// CountCache), so every engine cache reports through one shape.
-type CacheStats = federation.CacheStats
-
-// NewSubqueryCache returns an unbounded cache with no expiry — the
-// batch-scoped configuration ExecuteBatch uses.
-func NewSubqueryCache() *SubqueryCache {
-	return NewBoundedSubqueryCache(0, 0)
-}
-
-// NewBoundedSubqueryCache returns a cache holding at most maxEntries
-// completed results (0 = unbounded), each valid for ttl (0 = forever).
-// Least-recently-used entries are evicted past the bound.
-func NewBoundedSubqueryCache(maxEntries int, ttl time.Duration) *SubqueryCache {
-	return &SubqueryCache{
-		inflight:   map[string]*sqCall{},
-		entries:    map[string]*list.Element{},
-		lru:        list.New(),
-		maxEntries: maxEntries,
-		ttl:        ttl,
-		now:        time.Now,
-	}
-}
-
-// keySep separates the endpoint names inside a cache key; keyAt
-// separates the query text from the source list.
-const (
-	keySep = "\x1f"
-	keyAt  = "\x00@"
-)
+//   - Reads are copies: every reuse returns a Relation whose Vars,
+//     Rows, and Dropped slices are private to the caller (the Binding
+//     maps are shared — they are never mutated after creation).
+//   - Degradation-aware: a partial relation (non-empty Dropped) is
+//     only reused by callers that can absorb it by merging the drop
+//     records into their own completeness report. A strict caller
+//     recomputes, and its complete result replaces the partial entry.
+//   - Stale reuse is charged: an entry an observing fence serves
+//     despite a data change adds a drop record per stale source to the
+//     consumer's completeness report.
 
 // SubqueryKey identifies a subquery execution across engines,
 // processes, and endpoint orderings: the canonicalized subquery text
-// plus the sorted stable identities (names) of its source endpoints.
-// Positional indexes are NOT a stable identity — index 0 of one
-// federation is a different endpoint than index 0 of another, so a
-// cache that outlives one engine's endpoint list must key on names.
-func SubqueryKey(sq *Subquery, eps []endpoint.Endpoint) string {
-	names := make([]string, len(sq.Sources))
+// plus the sorted stable identities (names) of its source endpoints,
+// which it also returns for stamping the cache entry. Positional
+// indexes are NOT a stable identity — index 0 of one federation is a
+// different endpoint than index 0 of another, so a cache that outlives
+// one engine's endpoint list must key on names.
+func SubqueryKey(sq *Subquery, eps []endpoint.Endpoint) (key string, srcs []string) {
+	srcs = make([]string, len(sq.Sources))
 	for i, ei := range sq.Sources {
-		names[i] = eps[ei].Name()
+		srcs[i] = eps[ei].Name()
 	}
-	sort.Strings(names)
-	return sq.Query().String() + keyAt + strings.Join(names, keySep)
+	sort.Strings(srcs)
+	return sq.Query().String() + "\x00@" + strings.Join(srcs, "\x1f"), srcs
+}
+
+// reuseSubquery runs compute through the subquery cache c (nil: just
+// computes) under the policy above. canPartial declares whether this
+// caller can absorb a partial relation; shared reports reuse.
+func reuseSubquery(ctx context.Context, c *cache.Cache[*Relation], key string, srcs []string, canPartial bool, compute func() (*Relation, error)) (*Relation, bool, error) {
+	var usable func(*Relation) bool
+	if !canPartial {
+		usable = func(rel *Relation) bool { return len(rel.Dropped) == 0 }
+	}
+	rel, stale, shared, err := c.Do(ctx, key, srcs, usable, compute)
+	if err != nil || c == nil {
+		return rel, shared, err
+	}
+	// A computed relation is the stored entry too, so even the leader
+	// takes a copy.
+	return staleCharged(snapshotRelation(rel), stale), shared, nil
 }
 
 // snapshotRelation returns a defensive copy of rel: fresh Vars, Rows,
@@ -170,101 +75,10 @@ func snapshotRelation(rel *Relation) *Relation {
 	}
 }
 
-// maxWaiterRetries bounds how many failed computations a single Do
-// call will wait out before surfacing the last error. Retries are only
-// taken for computations that failed while we were blocked on them; a
-// computation we led returns its error directly.
-const maxWaiterRetries = 4
-
-// Do returns the cached relation for key, or runs compute while
-// concurrent callers for the same key wait. canPartial declares
-// whether THIS caller can absorb a partial (degraded) cached relation
-// by merging its Dropped records into its own completeness state; a
-// caller that cannot never sees an incomplete entry — it recomputes,
-// and a complete recomputation replaces the partial entry.
-//
-// The returned relation is a private copy on reuse and the computed
-// value itself when this call led the computation; shared reports
-// which. Failed computations are not cached: waiters re-enter the
-// compute loop (bounded by maxWaiterRetries) instead of receiving the
-// stale error, and only successful reuse counts as a hit. A waiter
-// whose ctx ends stops waiting. On a nil cache Do just computes.
-func (c *SubqueryCache) Do(ctx context.Context, key string, canPartial bool, compute func() (*Relation, error)) (rel *Relation, shared bool, err error) {
-	if c == nil {
-		rel, err = compute()
-		return rel, false, err
-	}
-	ex := cacheExemplarFrom(ctx)
-	for attempt := 0; ; attempt++ {
-		c.mu.Lock()
-		if rel, stale, ok := c.lookupLocked(key, canPartial); ok {
-			c.hits++
-			if ex != nil {
-				c.hitEx = ex
-			}
-			c.mu.Unlock()
-			return staleCharged(snapshotRelation(rel), stale), true, nil
-		}
-		if call, ok := c.inflight[key]; ok {
-			c.mu.Unlock()
-			if c.onWait != nil {
-				c.onWait(key)
-			}
-			select {
-			case <-call.ready:
-			case <-ctx.Done():
-				return nil, false, ctx.Err()
-			}
-			if call.err != nil {
-				// The computation we waited on failed — possibly a sibling
-				// query's fail-fast cancelling the shared execution. Its
-				// failure is not necessarily ours: re-enter the loop and
-				// (re)compute under our own conditions.
-				if attempt >= maxWaiterRetries {
-					return nil, false, call.err
-				}
-				continue
-			}
-			if len(call.rel.Dropped) == 0 || canPartial {
-				c.mu.Lock()
-				c.hits++
-				if ex != nil {
-					c.hitEx = ex
-				}
-				c.mu.Unlock()
-				return snapshotRelation(call.rel), true, nil
-			}
-			// Partial result this caller cannot absorb: re-enter the
-			// loop and compute fresh under the lock (lookupLocked
-			// refuses the stored partial entry to strict callers too).
-			continue
-		}
-		c.misses++
-		if ex != nil {
-			c.missEx = ex
-		}
-		call := &sqCall{ready: make(chan struct{}), gen: c.gen}
-		c.inflight[key] = call
-		c.mu.Unlock()
-
-		call.rel, call.err = compute()
-		c.mu.Lock()
-		if c.inflight[key] == call {
-			delete(c.inflight, key)
-		}
-		if call.err == nil && call.gen == c.gen {
-			c.storeLocked(key, snapshotRelation(call.rel))
-		}
-		c.mu.Unlock()
-		close(call.ready)
-		return call.rel, false, call.err
-	}
-}
-
-// staleCharged re-charges a stale-but-served entry (observe-only
-// fence) to the consuming query's completeness report: one drop record
-// per stale source endpoint, appended to the caller's private copy so
-// the stored entry is untouched. No-op for coherent reuse.
+// staleCharged re-charges a stale-but-served entry (observing fence)
+// to the consuming query's completeness report: one drop record per
+// stale source endpoint, appended to the caller's private copy so the
+// stored entry is untouched. No-op for coherent reuse.
 func staleCharged(rel *Relation, staleEps []string) *Relation {
 	for _, name := range staleEps {
 		rel.Dropped = append(rel.Dropped, sparql.Dropped{
@@ -274,175 +88,6 @@ func staleCharged(rel *Relation, staleEps []string) *Relation {
 		})
 	}
 	return rel
-}
-
-// SetFence attaches the coherence fence: stores stamp entries with the
-// fence's tracked data versions and lookups verify them. Called once
-// at engine construction, before the cache serves traffic.
-func (c *SubqueryCache) SetFence(f *Coherence) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.fence = f
-}
-
-// lookupLocked finds a live entry for key, dropping it if expired,
-// refusing partial entries to strict callers, and verifying its
-// data-version stamps against the fence: an enforcing fence rejects
-// (and removes) a stale entry; an observing fence serves it and
-// returns the stale source names so the caller can count and re-charge
-// the serve. Caller holds c.mu.
-func (c *SubqueryCache) lookupLocked(key string, canPartial bool) (*Relation, []string, bool) {
-	el, ok := c.entries[key]
-	if !ok {
-		return nil, nil, false
-	}
-	e := el.Value.(*sqEntry)
-	if !e.expires.IsZero() && !c.now().Before(e.expires) {
-		c.removeLocked(el)
-		c.expirations++
-		return nil, nil, false
-	}
-	if len(e.rel.Dropped) > 0 && !canPartial {
-		return nil, nil, false
-	}
-	var stale []string
-	if c.fence != nil {
-		stale = c.fence.StaleSources(e.srcs, e.versions)
-		if len(stale) > 0 {
-			if c.fence.Enforcing() {
-				c.removeLocked(el)
-				c.fence.NoteFenced(1)
-				return nil, nil, false
-			}
-			c.fence.NoteStale(1)
-		}
-	}
-	c.lru.MoveToFront(el)
-	return e.rel, stale, true
-}
-
-// keySources parses the source endpoint names out of a SubqueryKey.
-func keySources(key string) []string {
-	_, srcs, ok := strings.Cut(key, keyAt)
-	if !ok || srcs == "" {
-		return nil
-	}
-	return strings.Split(srcs, keySep)
-}
-
-// storeLocked inserts (or replaces) the entry for key, stamping it
-// with the fence's tracked data versions, and evicts past the LRU
-// bound. Caller holds c.mu.
-func (c *SubqueryCache) storeLocked(key string, rel *Relation) {
-	if el, ok := c.entries[key]; ok {
-		c.lru.Remove(el)
-		delete(c.entries, key)
-	}
-	e := &sqEntry{key: key, rel: rel}
-	if c.fence != nil {
-		e.srcs = keySources(key)
-		e.versions = c.fence.Versions(e.srcs)
-	}
-	if c.ttl > 0 {
-		e.expires = c.now().Add(c.ttl)
-	}
-	c.entries[key] = c.lru.PushFront(e)
-	for c.maxEntries > 0 && c.lru.Len() > c.maxEntries {
-		c.removeLocked(c.lru.Back())
-		c.evictions++
-	}
-}
-
-// removeLocked drops one entry. Caller holds c.mu.
-func (c *SubqueryCache) removeLocked(el *list.Element) {
-	e := el.Value.(*sqEntry)
-	c.lru.Remove(el)
-	delete(c.entries, e.key)
-}
-
-// Clear drops every retained entry. In-flight computations complete
-// for their waiters but are not stored (they may have read
-// pre-invalidation data).
-func (c *SubqueryCache) Clear() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = map[string]*list.Element{}
-	c.lru = list.New()
-	c.gen++
-}
-
-// InvalidateEndpoint drops every entry whose source set contains the
-// named endpoint — the hook for callers that know one endpoint's data
-// changed. In-flight computations are not stored afterward (they may
-// span the invalidated endpoint).
-func (c *SubqueryCache) InvalidateEndpoint(name string) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var el, next *list.Element
-	for el = c.lru.Front(); el != nil; el = next {
-		next = el.Next()
-		e := el.Value.(*sqEntry)
-		_, srcs, ok := strings.Cut(e.key, keyAt)
-		if !ok {
-			continue
-		}
-		for _, n := range strings.Split(srcs, keySep) {
-			if n == name {
-				c.removeLocked(el)
-				break
-			}
-		}
-	}
-	c.gen++
-}
-
-// Hits reports how many subquery executions the cache saved
-// (successful reuse only).
-func (c *SubqueryCache) Hits() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return int(c.hits)
-}
-
-// Len reports the number of retained subquery results.
-func (c *SubqueryCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// Stats snapshots the cache's counters.
-func (c *SubqueryCache) Stats() CacheStats {
-	if c == nil {
-		return CacheStats{}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{
-		Hits: c.hits, Misses: c.misses,
-		Evictions: c.evictions, Expirations: c.expirations,
-		Entries: len(c.entries),
-	}
-}
-
-// Exemplars snapshots the cache's hit and miss exemplars: the most
-// recent sampled traced query on each path, nil where none yet.
-func (c *SubqueryCache) Exemplars() (hit, miss *CacheExemplar) {
-	if c == nil {
-		return nil, nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hitEx, c.missEx
 }
 
 // BatchResult pairs one batch query with its outcome.
@@ -462,13 +107,14 @@ type BatchResult struct {
 // parallelism. Results are returned in input order. With a persistent
 // subquery cache configured (Config.SubqueryCacheSize), the batch
 // shares it — results carry over to later batches and queries;
-// otherwise the cache is scoped to this call.
+// otherwise the cache is scoped to this call (under every Caching
+// mode: sharing within one batch is not cross-query reuse). After the
+// call, LastMetrics().SharedSubqueries is the batch's total.
 func (l *Lusail) ExecuteBatch(ctx context.Context, queries []string) []BatchResult {
-	cache := l.sqCache
-	if cache == nil {
-		cache = NewSubqueryCache()
+	sqCache := l.sqCache
+	if sqCache == nil {
+		sqCache = cache.New[*Relation](0, 0, l.coherence)
 	}
-	hitsBefore := cache.Hits()
 	out := make([]BatchResult, len(queries))
 	sem := make(chan struct{}, len(l.eps)+2)
 	var wg sync.WaitGroup
@@ -478,13 +124,17 @@ func (l *Lusail) ExecuteBatch(ctx context.Context, queries []string) []BatchResu
 		go func(i int, q string) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			res, m, err := l.execute(ctx, q, cache, nil)
+			res, m, err := l.execute(ctx, q, sqCache, nil)
 			out[i] = BatchResult{Query: q, Results: res, Err: err, Metrics: m}
 		}(i, q)
 	}
 	wg.Wait()
+	shared := 0
+	for _, br := range out {
+		shared += br.Metrics.SharedSubqueries
+	}
 	l.mu.Lock()
-	l.last.SharedSubqueries = cache.Hits() - hitsBefore
+	l.last.SharedSubqueries = shared
 	l.mu.Unlock()
 	return out
 }

@@ -4,14 +4,14 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
+	"lusail/internal/cache"
 	"lusail/internal/endpoint"
-	"lusail/internal/rdf"
 	"lusail/internal/sparql"
 	"lusail/internal/store"
 	"lusail/internal/testfed"
@@ -26,40 +26,48 @@ func keyEPs(names ...string) []endpoint.Endpoint {
 	return eps
 }
 
-// put retains rel for key, bypassing Do: a side channel that stores
-// while a computation for the same key is in flight.
-func (c *SubqueryCache) put(key string, rel *Relation) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.storeLocked(key, snapshotRelation(rel))
+// newSubqueryCache returns an unbounded, unfenced subquery cache — the
+// batch-scoped configuration ExecuteBatch uses without a fence.
+func newSubqueryCache() *cache.Cache[*Relation] { return cache.New[*Relation](0, 0, nil) }
+
+// sqDo runs compute through c under the executor's subquery policy.
+func sqDo(c *cache.Cache[*Relation], key string, canPartial bool, compute func() (*Relation, error)) (*Relation, bool, error) {
+	return reuseSubquery(context.Background(), c, key, nil, canPartial, compute)
 }
 
-// has reports whether a strict caller would reuse the entry for key,
-// with the same expiry, eviction-order and fence side effects as a
-// lookup through Do (but no hit or miss counted).
-func (c *SubqueryCache) has(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, _, ok := c.lookupLocked(key, false)
+// put retains rel for key, sourced from srcs, bypassing Do.
+func put(c *cache.Cache[*Relation], key string, srcs []string, rel *Relation) {
+	c.PutAt(c.Gen(), key, srcs, snapshotRelation(rel))
+}
+
+// has reports whether c holds a live entry for key.
+func has(c *cache.Cache[*Relation], key string) bool {
+	_, ok := c.Get(key)
 	return ok
 }
 
+// sqKey is SubqueryKey's key alone.
+func sqKey(sq *Subquery, eps []endpoint.Endpoint) string {
+	k, _ := SubqueryKey(sq, eps)
+	return k
+}
+
 func TestSubqueryCacheSingleFlight(t *testing.T) {
-	c := NewSubqueryCache()
+	c := newSubqueryCache()
 	sq := &Subquery{
 		Patterns: sparql.MustParse(`SELECT * WHERE { ?s <http://ex/p> ?o }`).Where.Patterns,
 		Sources:  []int{1, 0},
 		ProjVars: []sparql.Var{"o", "s"},
 	}
-	key := SubqueryKey(sq, keyEPs("a", "b"))
+	key := sqKey(sq, keyEPs("a", "b"))
 	computes := 0
 	rel := relOf([]sparql.Var{"s", "o"}, b("s", "1", "o", "2"))
 	compute := func() (*Relation, error) { computes++; return rel, nil }
-	got, shared, err := c.Do(context.Background(), key, false, compute)
+	got, shared, err := sqDo(c, key, false, compute)
 	if err != nil || len(got.Rows) != 1 || shared {
 		t.Fatalf("first Do = %v shared=%v err=%v", got, shared, err)
 	}
-	got, shared, err = c.Do(context.Background(), key, false, compute)
+	got, shared, err = sqDo(c, key, false, compute)
 	if err != nil || !shared {
 		t.Fatalf("second Do = %v shared=%v err=%v", got, shared, err)
 	}
@@ -72,26 +80,26 @@ func TestSubqueryCacheSingleFlight(t *testing.T) {
 	if computes != 1 {
 		t.Errorf("computes = %d, want 1", computes)
 	}
-	if c.Hits() != 1 || c.Len() != 1 {
-		t.Errorf("hits = %d len = %d", c.Hits(), c.Len())
+	if st := c.Stats(); st.Hits != 1 || st.Entries != 1 {
+		t.Errorf("hits = %d len = %d", st.Hits, st.Entries)
 	}
 }
 
 func TestSubqueryCacheErrorNotCached(t *testing.T) {
-	c := NewSubqueryCache()
+	c := newSubqueryCache()
 	calls := 0
 	fail := func() (*Relation, error) { calls++; return nil, context.Canceled }
-	if _, _, err := c.Do(context.Background(), "k", false, fail); err == nil {
+	if _, _, err := sqDo(c, "k", false, fail); err == nil {
 		t.Fatal("error swallowed")
 	}
-	if _, _, err := c.Do(context.Background(), "k", false, fail); err == nil {
+	if _, _, err := sqDo(c, "k", false, fail); err == nil {
 		t.Fatal("error swallowed on retry")
 	}
 	if calls != 2 {
 		t.Errorf("failed computation cached: calls = %d", calls)
 	}
-	if c.Hits() != 0 {
-		t.Errorf("hits = %d, want 0 (errors are not reuse)", c.Hits())
+	if h := c.Stats().Hits; h != 0 {
+		t.Errorf("hits = %d, want 0 (errors are not reuse)", h)
 	}
 }
 
@@ -105,21 +113,21 @@ func TestSubqueryKeyStableEndpointIdentity(t *testing.T) {
 	// orders by two federations: one cache key.
 	a := &Subquery{Patterns: patterns, Sources: []int{0, 1}, ProjVars: []sparql.Var{"s"}}
 	rev := &Subquery{Patterns: patterns, Sources: []int{1, 0}, ProjVars: []sparql.Var{"s"}}
-	if SubqueryKey(a, keyEPs("x", "y")) != SubqueryKey(rev, keyEPs("y", "x")) {
+	if sqKey(a, keyEPs("x", "y")) != sqKey(rev, keyEPs("y", "x")) {
 		t.Error("same endpoints in different federation orders must share a key")
 	}
 
 	// Distinct endpoints at the same indexes must NOT collide, even
 	// though their positional source lists are identical.
 	b1 := &Subquery{Patterns: patterns, Sources: []int{0}, ProjVars: []sparql.Var{"s"}}
-	if SubqueryKey(b1, keyEPs("x", "y")) == SubqueryKey(b1, keyEPs("z", "y")) {
+	if sqKey(b1, keyEPs("x", "y")) == sqKey(b1, keyEPs("z", "y")) {
 		t.Error("different endpoints with identical source indexes must not collide")
 	}
 
 	// Different source sets over one federation stay distinct.
 	one := &Subquery{Patterns: patterns, Sources: []int{0}, ProjVars: []sparql.Var{"s"}}
 	two := &Subquery{Patterns: patterns, Sources: []int{0, 1}, ProjVars: []sparql.Var{"s"}}
-	if SubqueryKey(one, keyEPs("x", "y")) == SubqueryKey(two, keyEPs("x", "y")) {
+	if sqKey(one, keyEPs("x", "y")) == sqKey(two, keyEPs("x", "y")) {
 		t.Error("different source sets must not share cache keys")
 	}
 }
@@ -128,9 +136,9 @@ func TestSubqueryKeyStableEndpointIdentity(t *testing.T) {
 // relation whose slices are private to the caller, so concurrent
 // consumers can sort and truncate without racing (run with -race).
 func TestSubqueryCacheCopyOnRead(t *testing.T) {
-	c := NewSubqueryCache()
+	c := newSubqueryCache()
 	rel := relOf([]sparql.Var{"s"}, b("s", "1"), b("s", "2"), b("s", "3"))
-	if _, _, err := c.Do(context.Background(), "k", false, func() (*Relation, error) { return rel, nil }); err != nil {
+	if _, _, err := sqDo(c, "k", false, func() (*Relation, error) { return rel, nil }); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -138,7 +146,7 @@ func TestSubqueryCacheCopyOnRead(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			got, _, err := c.Do(context.Background(), "k", false, func() (*Relation, error) {
+			got, _, err := sqDo(c, "k", false, func() (*Relation, error) {
 				t.Error("unexpected recompute")
 				return rel, nil
 			})
@@ -155,7 +163,7 @@ func TestSubqueryCacheCopyOnRead(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	got, _, err := c.Do(context.Background(), "k", false, func() (*Relation, error) { return rel, nil })
+	got, _, err := sqDo(c, "k", false, func() (*Relation, error) { return rel, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,17 +179,17 @@ func TestSubqueryCacheCopyOnRead(t *testing.T) {
 // an absorbing policy must never be served to a caller that cannot
 // absorb it, and a complete recomputation replaces the partial entry.
 func TestSubqueryCachePartialEntryGating(t *testing.T) {
-	c := NewSubqueryCache()
+	c := newSubqueryCache()
 	partial := relOf([]sparql.Var{"s"}, b("s", "1"))
 	partial.Dropped = []sparql.Dropped{{Endpoint: "down", Phase: "phase1", Reason: "unreachable"}}
 	complete := relOf([]sparql.Var{"s"}, b("s", "1"), b("s", "2"))
 
 	// An absorbing caller computes and stores the partial result.
-	if _, _, err := c.Do(context.Background(), "k", true, func() (*Relation, error) { return partial, nil }); err != nil {
+	if _, _, err := sqDo(c, "k", true, func() (*Relation, error) { return partial, nil }); err != nil {
 		t.Fatal(err)
 	}
 	// Another absorbing caller reuses it, drop records intact.
-	got, shared, err := c.Do(context.Background(), "k", true, func() (*Relation, error) {
+	got, shared, err := sqDo(c, "k", true, func() (*Relation, error) {
 		t.Fatal("absorbing caller must reuse the partial entry")
 		return nil, nil
 	})
@@ -194,7 +202,7 @@ func TestSubqueryCachePartialEntryGating(t *testing.T) {
 
 	// A strict caller must NOT see the partial entry: it recomputes.
 	computes := 0
-	got, shared, err = c.Do(context.Background(), "k", false, func() (*Relation, error) {
+	got, shared, err = sqDo(c, "k", false, func() (*Relation, error) {
 		computes++
 		return complete, nil
 	})
@@ -207,7 +215,7 @@ func TestSubqueryCachePartialEntryGating(t *testing.T) {
 
 	// The complete recomputation replaced the partial entry: strict
 	// callers now hit.
-	_, shared, err = c.Do(context.Background(), "k", false, func() (*Relation, error) {
+	_, shared, err = sqDo(c, "k", false, func() (*Relation, error) {
 		t.Fatal("complete entry must be reused")
 		return nil, nil
 	})
@@ -216,92 +224,23 @@ func TestSubqueryCachePartialEntryGating(t *testing.T) {
 	}
 }
 
-// Regression (stale errors for waiters): a caller blocked on a
-// computation that failed must re-enter the compute loop instead of
-// surfacing the leader's error, and error deliveries must not count as
-// hits.
-func TestSubqueryCacheWaiterRetriesAfterFailure(t *testing.T) {
-	c := NewSubqueryCache()
-	joined := make(chan struct{})
-	var joinOnce sync.Once
-	c.onWait = func(string) { joinOnce.Do(func() { close(joined) }) }
-	leaderStarted := make(chan struct{})
-	release := make(chan struct{})
-	leaderDone := make(chan error, 1)
-	go func() {
-		_, _, err := c.Do(context.Background(), "k", false, func() (*Relation, error) {
-			close(leaderStarted)
-			<-release
-			return nil, errors.New("endpoint down")
-		})
-		leaderDone <- err
-	}()
-	<-leaderStarted
-
-	waiterDone := make(chan error, 1)
-	recomputed := 0
-	go func() {
-		_, _, err := c.Do(context.Background(), "k", false, func() (*Relation, error) {
-			recomputed++
-			return relOf([]sparql.Var{"s"}, b("s", "1")), nil
-		})
-		waiterDone <- err
-	}()
-	// Deterministic join: the cache's onWait hook fires once the waiter
-	// has found the in-flight call; only then does the leader fail.
-	<-joined
-	close(release)
-
-	if err := <-leaderDone; err == nil {
-		t.Error("leader must surface its own error")
-	}
-	if err := <-waiterDone; err != nil {
-		t.Errorf("waiter surfaced the leader's stale error: %v", err)
-	}
-	if recomputed != 1 {
-		t.Errorf("waiter recomputed %d times, want 1", recomputed)
-	}
-	if c.Hits() != 0 {
-		t.Errorf("hits = %d, want 0 (an error delivery is not reuse)", c.Hits())
-	}
-}
-
-func TestSubqueryCacheTTLExpiry(t *testing.T) {
-	c := NewBoundedSubqueryCache(0, time.Minute)
-	now := time.Unix(0, 0)
-	c.now = func() time.Time { return now }
-	c.put("k", relOf([]sparql.Var{"s"}, b("s", "1")))
-
-	if !c.has("k") {
-		t.Fatal("fresh entry must hit")
-	}
-	now = now.Add(2 * time.Minute)
-	if c.has("k") {
-		t.Fatal("expired entry served")
-	}
-	st := c.Stats()
-	if st.Expirations != 1 || st.Entries != 0 {
-		t.Errorf("stats after expiry = %+v", st)
-	}
-}
-
 func TestSubqueryCacheLRUBound(t *testing.T) {
-	c := NewBoundedSubqueryCache(2, 0)
+	c := cache.New[*Relation](2, 0, nil)
 	rel := relOf([]sparql.Var{"s"}, b("s", "1"))
-	c.put("a", rel)
-	c.put("b", rel)
+	put(c, "a", nil, rel)
+	put(c, "b", nil, rel)
 	// Touch "a" so "b" is the least recently used.
-	if !c.has("a") {
+	if !has(c, "a") {
 		t.Fatal("lookup a")
 	}
-	c.put("c", rel)
-	if c.Len() != 2 {
-		t.Fatalf("len = %d, want 2", c.Len())
+	put(c, "c", nil, rel)
+	if n := c.Stats().Entries; n != 2 {
+		t.Fatalf("len = %d, want 2", n)
 	}
-	if c.has("b") {
+	if has(c, "b") {
 		t.Error("LRU entry b survived past the bound")
 	}
-	if !c.has("a") {
+	if !has(c, "a") {
 		t.Error("recently-used entry a evicted")
 	}
 	if st := c.Stats(); st.Evictions != 1 {
@@ -310,20 +249,20 @@ func TestSubqueryCacheLRUBound(t *testing.T) {
 }
 
 func TestSubqueryCacheInvalidateEndpoint(t *testing.T) {
-	c := NewSubqueryCache()
+	c := newSubqueryCache()
 	eps := keyEPs("a", "b", "c")
 	patterns := sparql.MustParse(`SELECT * WHERE { ?s <http://ex/p> ?o }`).Where.Patterns
-	ab := SubqueryKey(&Subquery{Patterns: patterns, Sources: []int{0, 1}}, eps)
-	cOnly := SubqueryKey(&Subquery{Patterns: patterns, Sources: []int{2}}, eps)
+	ab, abSrcs := SubqueryKey(&Subquery{Patterns: patterns, Sources: []int{0, 1}}, eps)
+	cOnly, cSrcs := SubqueryKey(&Subquery{Patterns: patterns, Sources: []int{2}}, eps)
 	rel := relOf([]sparql.Var{"s"}, b("s", "1"))
-	c.put(ab, rel)
-	c.put(cOnly, rel)
+	put(c, ab, abSrcs, rel)
+	put(c, cOnly, cSrcs, rel)
 
 	c.InvalidateEndpoint("a")
-	if c.has(ab) {
+	if has(c, ab) {
 		t.Error("entry sourced from invalidated endpoint survived")
 	}
-	if !c.has(cOnly) {
+	if !has(c, cOnly) {
 		t.Error("entry not sourced from invalidated endpoint dropped")
 	}
 }
@@ -331,13 +270,13 @@ func TestSubqueryCacheInvalidateEndpoint(t *testing.T) {
 // A Clear (or invalidation) between compute start and completion must
 // prevent the stale result from being stored.
 func TestSubqueryCacheClearDropsInflightStore(t *testing.T) {
-	c := NewSubqueryCache()
+	c := newSubqueryCache()
 	started := make(chan struct{})
 	release := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, _, _ = c.Do(context.Background(), "k", false, func() (*Relation, error) {
+		_, _, _ = sqDo(c, "k", false, func() (*Relation, error) {
 			close(started)
 			<-release
 			return relOf([]sparql.Var{"s"}, b("s", "stale")), nil
@@ -347,7 +286,7 @@ func TestSubqueryCacheClearDropsInflightStore(t *testing.T) {
 	c.Clear()
 	close(release)
 	<-done
-	if c.Len() != 0 {
+	if c.Stats().Entries != 0 {
 		t.Error("computation begun before Clear was stored after it")
 	}
 }
@@ -515,6 +454,45 @@ func TestExecuteBatchSharesSubqueries(t *testing.T) {
 	}
 }
 
+// Each batch member reports the subquery evaluations it reused, and
+// LastMetrics after the batch reports their total.
+func TestBatchMembersCountSharedSubqueries(t *testing.T) {
+	l, _ := newUniLusail(Config{})
+	batch := l.ExecuteBatch(context.Background(), []string{testfed.QaChain, testfed.QaChain})
+	sum := 0
+	for _, br := range batch {
+		if br.Err != nil {
+			t.Fatal(br.Err)
+		}
+		sum += br.Metrics.SharedSubqueries
+	}
+	if sum < 1 {
+		t.Errorf("members' SharedSubqueries sum to %d, want at least 1", sum)
+	}
+	if got := l.LastMetrics().SharedSubqueries; got != sum {
+		t.Errorf("LastMetrics().SharedSubqueries = %d, want the batch total %d", got, sum)
+	}
+}
+
+// The planning caches hold query constants in their keys, so they are
+// bounded: inserting past the cap evicts instead of growing.
+func TestPlanningCachesBounded(t *testing.T) {
+	l, _ := newUniLusail(Config{})
+	const over = 10
+	for i := 0; i < cache.PlanningEntries+over; i++ {
+		key := cache.EndpointKey("EP1", strconv.Itoa(i))
+		l.askCache.PutAt(0, key, []string{"EP1"}, true)
+		l.checkCache.PutAt(0, key, []string{"EP1"}, true)
+		l.countCache.PutAt(0, key, []string{"EP1"}, 1)
+	}
+	for _, e := range l.CacheStats()[:3] {
+		if e.Stats.Entries != cache.PlanningEntries || e.Stats.Evictions != over {
+			t.Errorf("%s cache: %d entries, %d evictions; want %d and %d",
+				e.Name, e.Stats.Entries, e.Stats.Evictions, cache.PlanningEntries, over)
+		}
+	}
+}
+
 func TestExecuteBatchFewerRequestsThanSequential(t *testing.T) {
 	run := func(batch bool) int64 {
 		ep1, ep2 := testfed.Universities()
@@ -554,105 +532,6 @@ func TestExecuteBatchPropagatesErrors(t *testing.T) {
 	}
 	if batch[1].Err == nil {
 		t.Error("invalid query succeeded")
-	}
-}
-
-// TTL boundary: an entry is expired AT its expires instant, not one
-// tick after. The lookup predicate is !now.Before(expires) — serving
-// a result at the exact moment its validity window closes would make
-// the window [store, store+ttl] instead of the documented
-// [store, store+ttl).
-func TestSubqueryCacheTTLBoundaryExact(t *testing.T) {
-	c := NewBoundedSubqueryCache(0, time.Minute)
-	now := time.Unix(1000, 0)
-	c.now = func() time.Time { return now }
-	c.put("k", relOf([]sparql.Var{"s"}, b("s", "1")))
-
-	// One nanosecond before the boundary: still valid.
-	now = time.Unix(1000, 0).Add(time.Minute - time.Nanosecond)
-	if !c.has("k") {
-		t.Fatal("entry expired one tick before its boundary")
-	}
-	// Exactly at the boundary: expired.
-	now = time.Unix(1000, 0).Add(time.Minute)
-	if c.has("k") {
-		t.Fatal("entry served at its exact expiry instant")
-	}
-	if st := c.Stats(); st.Expirations != 1 || st.Entries != 0 {
-		t.Errorf("stats after boundary expiry = %+v", st)
-	}
-}
-
-// TTL expiry during a waiter retry: a waiter that re-enters the
-// compute loop after its leader failed must not trust an entry that
-// expired while it was blocked. The retry's lookup runs at wake-up
-// time, so an entry stored during the wait but already past its TTL
-// is dropped and recomputed, not served.
-func TestSubqueryCacheTTLExpiresDuringWaiterRetry(t *testing.T) {
-	c := NewBoundedSubqueryCache(0, time.Minute)
-	base := time.Unix(2000, 0)
-	now := base
-	var nowMu sync.Mutex
-	c.now = func() time.Time { nowMu.Lock(); defer nowMu.Unlock(); return now }
-	setNow := func(t time.Time) { nowMu.Lock(); now = t; nowMu.Unlock() }
-
-	joined := make(chan struct{})
-	var joinOnce sync.Once
-	c.onWait = func(string) { joinOnce.Do(func() { close(joined) }) }
-
-	leaderStarted := make(chan struct{})
-	release := make(chan struct{})
-	leaderDone := make(chan error, 1)
-	go func() {
-		_, _, err := c.Do(context.Background(), "k", false, func() (*Relation, error) {
-			close(leaderStarted)
-			<-release
-			return nil, errors.New("endpoint down")
-		})
-		leaderDone <- err
-	}()
-	<-leaderStarted
-
-	type waiterResult struct {
-		rel *Relation
-		err error
-	}
-	waiterDone := make(chan waiterResult, 1)
-	recomputed := 0
-	go func() {
-		rel, _, err := c.Do(context.Background(), "k", false, func() (*Relation, error) {
-			recomputed++
-			return relOf([]sparql.Var{"s"}, b("s", "fresh")), nil
-		})
-		waiterDone <- waiterResult{rel, err}
-	}()
-	<-joined
-
-	// While the waiter is blocked: a side channel stores an entry for
-	// the same key, and the clock jumps past that entry's expiry before
-	// the leader fails.
-	c.put("k", relOf([]sparql.Var{"s"}, b("s", "stale")))
-	setNow(base.Add(2 * time.Minute))
-	close(release)
-
-	if err := <-leaderDone; err == nil {
-		t.Error("leader must surface its own error")
-	}
-	w := <-waiterDone
-	if w.err != nil {
-		t.Fatalf("waiter failed: %v", w.err)
-	}
-	if recomputed != 1 {
-		t.Errorf("waiter recomputed %d times, want 1", recomputed)
-	}
-	if len(w.rel.Rows) != 1 {
-		t.Fatalf("waiter rows = %d, want 1", len(w.rel.Rows))
-	}
-	if got := w.rel.Rows[0]["s"]; got != rdf.IRI("http://ex/fresh") {
-		t.Errorf("waiter served %v, want the fresh recompute (stale entry expired mid-wait)", got)
-	}
-	if st := c.Stats(); st.Expirations != 1 {
-		t.Errorf("expirations = %d, want 1 (the mid-wait entry)", st.Expirations)
 	}
 }
 
@@ -702,11 +581,11 @@ func TestFailedSubqueryNotCachedOrObserved(t *testing.T) {
 		observed = append(observed, sq)
 		mu.Unlock()
 	}
-	c := NewSubqueryCache()
+	c := newSubqueryCache()
 	if _, _, err := runDrained(context.Background(), ex, []*Subquery{tail, adv}, nil, nil, nil, c); err == nil {
 		t.Fatal("failed subquery went unnoticed")
 	}
-	if c.has(SubqueryKey(adv, eps)) {
+	if has(c, sqKey(adv, eps)) {
 		t.Error("the failed subquery's partial relation was cached")
 	}
 	for _, sq := range observed {

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"lusail/internal/cache"
 	"lusail/internal/endpoint"
 	"lusail/internal/engine"
 	"lusail/internal/federation"
@@ -102,6 +103,10 @@ type ExecStats struct {
 	// estimate by the configured factor, so the delay partition was
 	// recomputed with the observed cardinality.
 	Replans int
+	// Shared counts phase-1 evaluations reused through the subquery
+	// cache (a retained result or another caller's in-flight one)
+	// instead of sent to the endpoints.
+	Shared int
 }
 
 // Executor runs SAPE (Algorithm 3): concurrent evaluation of
@@ -170,7 +175,7 @@ const streamChunkRows = 1024
 // all of phase 1 returns. Each tail chunk then probes a join whose
 // other side is the cost-ordered fold of every other relation. A plan
 // with no eligible tail emits that fold itself in chunks.
-func (ex *Executor) Run(ctx context.Context, sqs []*Subquery, extra []*Relation, globalFilters []sparql.Expr, optFilters map[int][]sparql.Expr, sqCache *SubqueryCache, sink StreamSink) (stats *ExecStats, err error) {
+func (ex *Executor) Run(ctx context.Context, sqs []*Subquery, extra []*Relation, globalFilters []sparql.Expr, optFilters map[int][]sparql.Expr, sqCache *cache.Cache[*Relation], sink StreamSink) (stats *ExecStats, err error) {
 	stats = &ExecStats{}
 	// Per-call counters attribute this execution's retry/breaker
 	// events to its ExecStats (and, via the parent chain, to any
@@ -265,6 +270,7 @@ func (ex *Executor) Run(ctx context.Context, sqs []*Subquery, extra []*Relation,
 		dg.Merge(r.rel.Dropped)
 		if r.shared {
 			sp.Set("shared", true)
+			stats.Shared++
 		} else {
 			stats.Phase1Requests += len(r.sq.Sources)
 		}
@@ -611,10 +617,11 @@ type phase1Result struct {
 // queue closes after the outcome is sent, and rows are retained only
 // when a cache needs them. promoted marks an evaluation started by a
 // mid-query re-plan rather than by phase 1.
-func (ex *Executor) startUnbound(ctx context.Context, wg *sync.WaitGroup, sq *Subquery, sqCache *SubqueryCache, queue *chunkQueue, promoted bool, done chan<- phase1Result) {
-	key := ""
+func (ex *Executor) startUnbound(ctx context.Context, wg *sync.WaitGroup, sq *Subquery, sqCache *cache.Cache[*Relation], queue *chunkQueue, promoted bool, done chan<- phase1Result) {
+	var key string
+	var srcs []string
 	if sqCache != nil {
-		key = SubqueryKey(sq, ex.Endpoints)
+		key, srcs = SubqueryKey(sq, ex.Endpoints)
 	}
 	// A caller under an absorbing degradation policy can reuse a partial
 	// cached relation: its drop records are merged into this query's own
@@ -638,7 +645,7 @@ func (ex *Executor) startUnbound(ctx context.Context, wg *sync.WaitGroup, sq *Su
 		}
 		start := time.Now()
 		run := func() (*Relation, bool, error) {
-			return sqCache.Do(ctx, key, canPartial, func() (*Relation, error) {
+			return reuseSubquery(ctx, sqCache, key, srcs, canPartial, func() (*Relation, error) {
 				return ex.evalUnbound(ctx, sq, emit, keep)
 			})
 		}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"lusail/internal/cache"
 	"lusail/internal/endpoint"
 	"lusail/internal/rdf"
 	"lusail/internal/sparql"
@@ -108,7 +109,7 @@ func TestHasGenericPattern(t *testing.T) {
 
 // runDrained runs the executor and drains its stream into one
 // relation headed by the plan's variables.
-func runDrained(ctx context.Context, ex *Executor, sqs []*Subquery, extra []*Relation, globalFilters []sparql.Expr, optFilters map[int][]sparql.Expr, sqCache *SubqueryCache) (*Relation, *ExecStats, error) {
+func runDrained(ctx context.Context, ex *Executor, sqs []*Subquery, extra []*Relation, globalFilters []sparql.Expr, optFilters map[int][]sparql.Expr, sqCache *cache.Cache[*Relation]) (*Relation, *ExecStats, error) {
 	rel := &Relation{Vars: planVars(sqs, extra)}
 	stats, err := ex.Run(ctx, sqs, extra, globalFilters, optFilters, sqCache,
 		func(_ []sparql.Var, rows []sparql.Binding) error {

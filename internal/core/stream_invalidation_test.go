@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"lusail/internal/cache"
 	"lusail/internal/endpoint"
 	"lusail/internal/sparql"
 	"lusail/internal/testfed"
@@ -20,7 +21,7 @@ import (
 type invalidateOnQuery struct {
 	endpoint.Endpoint
 	mu    sync.Mutex
-	cache *SubqueryCache
+	cache *cache.Cache[*Relation]
 }
 
 func (e *invalidateOnQuery) Query(ctx context.Context, q string) (*sparql.Results, error) {
@@ -41,7 +42,7 @@ func (e *invalidateOnQuery) Query(ctx context.Context, q string) (*sparql.Result
 // against the pre-invalidation data AFTER the invalidation ran,
 // resurrecting exactly the state the invalidation was meant to drop —
 // a later query would replay it as a cache hit. Every subquery now
-// goes through SubqueryCache.Do, whose generation check is the fence.
+// goes through the subquery cache's Do, whose generation check is the fence.
 func TestStreamInvalidationRaceNotStored(t *testing.T) {
 	ep1, ep2 := testfed.Universities()
 	w1, w2 := &invalidateOnQuery{Endpoint: ep1}, &invalidateOnQuery{Endpoint: ep2}
@@ -63,7 +64,7 @@ func TestStreamInvalidationRaceNotStored(t *testing.T) {
 	held := mk(`SELECT * WHERE { ?P <http://ex/teacherOf> ?C }`, []sparql.Var{"C", "P"}, 2)
 	sqs := []*Subquery{tail, held}
 
-	c := NewSubqueryCache()
+	c := newSubqueryCache()
 	w1.cache, w2.cache = c, c
 
 	got, _, err := runDrained(context.Background(), ex, sqs, nil, nil, nil, c)
@@ -85,7 +86,7 @@ func TestStreamInvalidationRaceNotStored(t *testing.T) {
 	// The fence is the point: every store attempt carried a generation
 	// older than the invalidations fired mid-flight, so nothing
 	// computed against the invalidated snapshot may survive.
-	if n := c.Len(); n != 0 {
+	if n := c.Stats().Entries; n != 0 {
 		t.Fatalf("subquery cache holds %d entries stored across an invalidation, want 0", n)
 	}
 
@@ -100,7 +101,7 @@ func TestStreamInvalidationRaceNotStored(t *testing.T) {
 	if _, _, err := runDrained(context.Background(), ex, sqs, nil, nil, nil, c); err != nil {
 		t.Fatal(err)
 	}
-	if c.Len() != 2 {
-		t.Fatalf("quiet run stored %d entries, want 2 — the race assertion above is vacuous", c.Len())
+	if n := c.Stats().Entries; n != 2 {
+		t.Fatalf("quiet run stored %d entries, want 2 — the race assertion above is vacuous", n)
 	}
 }

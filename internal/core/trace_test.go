@@ -58,11 +58,11 @@ func TestTraceHeadSampling(t *testing.T) {
 // traced executions, and CacheStats surfaces them on the subquery
 // entry.
 func TestSubqueryCacheExemplars(t *testing.T) {
-	c := NewSubqueryCache()
+	c := newSubqueryCache()
 	rel := relOf(nil)
 
 	// Untraced: no exemplars.
-	if _, _, err := c.Do(context.Background(), "k", false, func() (*Relation, error) { return rel, nil }); err != nil {
+	if _, _, err := sqDo(c, "k", false, func() (*Relation, error) { return rel, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if hit, miss := c.Exemplars(); hit != nil || miss != nil {
@@ -72,10 +72,10 @@ func TestSubqueryCacheExemplars(t *testing.T) {
 	// Sampled trace: miss then hit both pinned.
 	tr := trace.New("query")
 	ctx := trace.WithSpan(context.Background(), tr.Root)
-	if _, _, err := c.Do(ctx, "k2", false, func() (*Relation, error) { return rel, nil }); err != nil {
+	if _, _, err := reuseSubquery(ctx, c, "k2", nil, false, func() (*Relation, error) { return rel, nil }); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Do(ctx, "k2", false, func() (*Relation, error) { return rel, nil }); err != nil {
+	if _, _, err := reuseSubquery(ctx, c, "k2", nil, false, func() (*Relation, error) { return rel, nil }); err != nil {
 		t.Fatal(err)
 	}
 	hit, miss := c.Exemplars()
@@ -93,7 +93,7 @@ func TestSubqueryCacheExemplars(t *testing.T) {
 	tr2 := trace.New("query")
 	tr2.Root.SetSampled(false)
 	ctx2 := trace.WithSpan(context.Background(), tr2.Root)
-	if _, shared, err := c.Do(ctx2, "k2", false, func() (*Relation, error) { return rel, nil }); err != nil || !shared {
+	if _, shared, err := reuseSubquery(ctx2, c, "k2", nil, false, func() (*Relation, error) { return rel, nil }); err != nil || !shared {
 		t.Fatal("expected cached entry")
 	}
 	if hit, _ := c.Exemplars(); hit.TraceID == tr2.ID().String() {

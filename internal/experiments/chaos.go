@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"lusail/internal/benchdata/lubm"
+	"lusail/internal/cache"
 	"lusail/internal/core"
 	"lusail/internal/endpoint"
 	"lusail/internal/rdf"
@@ -35,11 +36,11 @@ func Chaos(w io.Writer, opts Options) error {
 	header(w, "chaos", "deterministic churn+fault soak with staleness oracle (LUBM, 4 endpoints)")
 
 	const seed = 1789
-	enforce, err := chaosPass(w, opts, core.CoherenceEnforce, seed)
+	enforce, err := chaosPass(w, opts, cache.Enforce, seed)
 	if err != nil {
 		return err
 	}
-	observe, err := chaosPass(w, opts, core.CoherenceObserve, seed)
+	observe, err := chaosPass(w, opts, cache.Observe, seed)
 	if err != nil {
 		return err
 	}
@@ -77,9 +78,9 @@ type chaosResult struct {
 }
 
 // chaosPass runs one soak with the coherence fence in the given mode.
-func chaosPass(w io.Writer, opts Options, mode core.CoherenceMode, seed int64) (chaosResult, error) {
+func chaosPass(w io.Writer, opts Options, mode cache.Mode, seed int64) (chaosResult, error) {
 	label := "enforce"
-	if mode == core.CoherenceObserve {
+	if mode == cache.Observe {
 		label = "observe"
 	}
 
@@ -120,15 +121,15 @@ func chaosPass(w io.Writer, opts Options, mode core.CoherenceMode, seed int64) (
 		Seed:        seed,
 	}
 	eng := core.New(faulty, core.Config{
-		Resilience:           &rc,
-		SubqueryCacheSize:    512,
-		SubqueryCacheTTL:     0, // never expires: only the fence protects reuse
-		CoherenceObserveOnly: mode == core.CoherenceObserve,
+		Resilience:        &rc,
+		SubqueryCacheSize: 512,
+		SubqueryCacheTTL:  0, // never expires: only the fence protects reuse
+		Caching:           mode,
 	})
 
 	// The oracle shares the Locals (same data version at every tick)
 	// but sees no faults and reuses nothing.
-	oracle := core.New(fed.Endpoints, core.Config{DisableCache: true, DisableCoherence: true})
+	oracle := core.New(fed.Endpoints, core.Config{Caching: cache.Off})
 
 	queries := []string{"Q1", "Q2", "Q3", "Q4"}
 	var res chaosResult

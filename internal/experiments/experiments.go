@@ -18,6 +18,7 @@ import (
 	"lusail/internal/benchdata/largerdf"
 	"lusail/internal/benchdata/lubm"
 	"lusail/internal/benchdata/qfed"
+	"lusail/internal/cache"
 	"lusail/internal/core"
 	"lusail/internal/endpoint"
 	"lusail/internal/federation"
@@ -171,7 +172,7 @@ func BuildEngine(name string, f *Federation) (federation.Engine, error) {
 		}
 		return hibiscus.New(f.Endpoints, sum, fedx.Config{}), nil
 	case "naive":
-		return federation.NewNaive(f.Endpoints, federation.NewAskCache()), nil
+		return federation.NewNaive(f.Endpoints, cache.New[bool](cache.PlanningEntries, 0, nil)), nil
 	default:
 		return nil, fmt.Errorf("unknown engine %q", name)
 	}

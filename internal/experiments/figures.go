@@ -14,6 +14,7 @@ import (
 	"lusail/internal/benchdata/largerdf"
 	"lusail/internal/benchdata/lubm"
 	"lusail/internal/benchdata/qfed"
+	"lusail/internal/cache"
 	"lusail/internal/core"
 	"lusail/internal/endpoint"
 )
@@ -194,7 +195,7 @@ func Fig10bc(w io.Writer, opts Options, endpointCounts []int) error {
 			}
 			mt := l.LastMetrics()
 			// No-cache run.
-			lnc := core.New(f.Endpoints, core.Config{DisableCache: true})
+			lnc := core.New(f.Endpoints, core.Config{Caching: cache.Off})
 			mnc := Run(lnc, f, qname, lubm.Queries[qname], opts)
 			fmt.Fprintf(w, "%-6s %-10d %12s %12s %12s %14s %14s\n", qname, n,
 				mt.SourceSelection.Round(time.Microsecond),

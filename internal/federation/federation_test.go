@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"lusail/internal/cache"
 	"lusail/internal/endpoint"
 	"lusail/internal/engine"
 	"lusail/internal/sparql"
@@ -59,7 +60,7 @@ func TestAskQueryFor(t *testing.T) {
 
 func TestSelectFindsRelevantSources(t *testing.T) {
 	eps := uniFederation()
-	sel := NewSelector(eps, NewAskCache())
+	sel := NewSelector(eps, cache.New[bool](cache.PlanningEntries, 0, nil))
 	q := sparql.MustParse(`SELECT * WHERE {
 		?s <http://ex/advisor> ?p .
 		?u <http://ex/address> ?a .
@@ -85,8 +86,8 @@ func TestSelectFindsRelevantSources(t *testing.T) {
 
 func TestSelectUsesCache(t *testing.T) {
 	eps := uniFederation()
-	cache := NewAskCache()
-	sel := NewSelector(eps, cache)
+	c := cache.New[bool](cache.PlanningEntries, 0, nil)
+	sel := NewSelector(eps, c)
 	q := sparql.MustParse(`SELECT * WHERE { ?s <http://ex/advisor> ?p }`)
 	ctx := context.Background()
 	s1, err := sel.Select(ctx, q)
@@ -106,11 +107,11 @@ func TestSelectUsesCache(t *testing.T) {
 	if !reflect.DeepEqual(s1.Sources, s2.Sources) {
 		t.Error("cached selection differs")
 	}
-	if cache.Len() != 2 {
-		t.Errorf("cache entries = %d", cache.Len())
+	if n := c.Stats().Entries; n != 2 {
+		t.Errorf("cache entries = %d", n)
 	}
-	cache.Clear()
-	if cache.Len() != 0 {
+	c.Clear()
+	if c.Stats().Entries != 0 {
 		t.Error("clear failed")
 	}
 }
@@ -173,7 +174,7 @@ func TestHandlerPropagatesErrors(t *testing.T) {
 func TestNaiveMatchesUnionGraph(t *testing.T) {
 	ep1, ep2 := testfed.Universities()
 	eps := []endpoint.Endpoint{ep1, ep2}
-	naive := NewNaive(eps, NewAskCache())
+	naive := NewNaive(eps, cache.New[bool](cache.PlanningEntries, 0, nil))
 
 	got, err := naive.Execute(context.Background(), testfed.Qa)
 	if err != nil {
@@ -196,7 +197,7 @@ func TestNaiveMatchesUnionGraph(t *testing.T) {
 func TestNaiveHandlesOptionalAndFilter(t *testing.T) {
 	ep1, ep2 := testfed.Universities()
 	eps := []endpoint.Endpoint{ep1, ep2}
-	naive := NewNaive(eps, NewAskCache())
+	naive := NewNaive(eps, cache.New[bool](cache.PlanningEntries, 0, nil))
 	q := `SELECT ?P ?C WHERE {
 		?S <http://ex/advisor> ?P .
 		OPTIONAL { ?P <http://ex/teacherOf> ?C }
@@ -214,7 +215,7 @@ func TestNaiveHandlesOptionalAndFilter(t *testing.T) {
 }
 
 func TestNaiveBadQuery(t *testing.T) {
-	naive := NewNaive(uniFederation(), NewAskCache())
+	naive := NewNaive(uniFederation(), cache.New[bool](cache.PlanningEntries, 0, nil))
 	if _, err := naive.Execute(context.Background(), "junk"); err == nil {
 		t.Error("bad query accepted")
 	}
@@ -251,8 +252,8 @@ func TestSelectDegradesOnEndpointFailure(t *testing.T) {
 	// failing the whole selection.
 	ep1, ep2 := testfed.Universities()
 	dead := endpoint.NewFaulty(ep2, endpoint.FaultConfig{Down: true})
-	cache := NewAskCache()
-	sel := NewSelector([]endpoint.Endpoint{ep1, dead}, cache)
+	c := cache.New[bool](cache.PlanningEntries, 0, nil)
+	sel := NewSelector([]endpoint.Endpoint{ep1, dead}, c)
 	q := sparql.MustParse(testfed.QaChain)
 
 	// Without a degrade context the failure surfaces, as before.
@@ -285,7 +286,7 @@ func TestSelectDegradesOnEndpointFailure(t *testing.T) {
 	// The failed probes must not be cached as authoritative
 	// not-relevant answers: the same cache with the endpoint recovered
 	// (unwrapped) must re-consult it and find it relevant.
-	healthy := NewSelector([]endpoint.Endpoint{ep1, ep2}, cache)
+	healthy := NewSelector([]endpoint.Endpoint{ep1, ep2}, c)
 	full, err := healthy.SelectPatterns(context.Background(), q.Where.Patterns)
 	if err != nil {
 		t.Fatalf("healthy selection: %v", err)

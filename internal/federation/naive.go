@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"lusail/internal/cache"
 	"lusail/internal/endpoint"
 	"lusail/internal/engine"
 	"lusail/internal/rdf"
@@ -24,9 +25,9 @@ type Naive struct {
 }
 
 // NewNaive builds the naive federator over eps.
-func NewNaive(eps []endpoint.Endpoint, cache *AskCache) *Naive {
+func NewNaive(eps []endpoint.Endpoint, c *cache.Cache[bool]) *Naive {
 	return &Naive{
-		selector: NewSelector(eps, cache),
+		selector: NewSelector(eps, c),
 		handler:  NewHandler(len(eps)),
 	}
 }

@@ -3,24 +3,11 @@ package federation
 import (
 	"context"
 	"fmt"
-	"strings"
-	"sync"
-	"sync/atomic"
 
+	"lusail/internal/cache"
 	"lusail/internal/endpoint"
 	"lusail/internal/sparql"
 )
-
-// CacheStats snapshots one cache's counters. Hits count successful
-// reuse only; Expirations count TTL-stale entries dropped on access
-// (always zero for caches without expiry). Every engine cache — the
-// planning caches here and the subquery-result cache in core —
-// reports through this one shape so metrics bridges and debug
-// endpoints can treat them uniformly.
-type CacheStats struct {
-	Hits, Misses, Evictions, Expirations int64
-	Entries                              int
-}
 
 // PatternSig is the cache key for a triple pattern's source-selection
 // result: constants verbatim, variables normalized, so that two
@@ -35,139 +22,10 @@ func PatternSig(tp sparql.TriplePattern) string {
 	return el(tp.S) + " " + el(tp.P) + " " + el(tp.O)
 }
 
-// AskCache caches per-endpoint ASK results keyed by pattern signature.
-// It is shared across queries, mirroring the caches the paper enables
-// for all systems in §VI-B.
-type AskCache struct {
-	mu sync.RWMutex
-	m  map[string]bool
-	// gen fences in-flight stores: Clear and InvalidateEndpoint advance
-	// it, and PutAt refuses a verdict whose probe was launched (gen
-	// captured) before the invalidation — it may reflect
-	// pre-invalidation data.
-	gen uint64
-
-	// Counters are atomics so Get can stay on the read lock.
-	hits, misses int64
-}
-
-// NewAskCache returns an empty cache.
-func NewAskCache() *AskCache { return &AskCache{m: make(map[string]bool)} }
-
-func (c *AskCache) key(ep string, sig string) string { return ep + "\x00" + sig }
-
-// Get looks up a cached ASK result.
-func (c *AskCache) Get(ep, sig string) (val, ok bool) {
-	if c == nil {
-		return false, false
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	val, ok = c.m[c.key(ep, sig)]
-	if ok {
-		atomic.AddInt64(&c.hits, 1)
-	} else {
-		atomic.AddInt64(&c.misses, 1)
-	}
-	return val, ok
-}
-
-// Put stores an ASK result.
-func (c *AskCache) Put(ep, sig string, val bool) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m[c.key(ep, sig)] = val
-}
-
-// Gen returns the cache's invalidation generation. Callers capture it
-// before launching the probes whose verdicts they will store, and
-// store through PutAt.
-func (c *AskCache) Gen() uint64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.gen
-}
-
-// PutAt stores an ASK result unless the cache was cleared or
-// invalidated since the caller captured gen: a verdict probed before
-// the invalidation may describe data that no longer exists.
-func (c *AskCache) PutAt(gen uint64, ep, sig string, val bool) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if gen != c.gen {
-		return
-	}
-	c.m[c.key(ep, sig)] = val
-}
-
-// Len reports the number of cached entries.
-func (c *AskCache) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.m)
-}
-
-// Clear removes all entries.
-func (c *AskCache) Clear() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m = make(map[string]bool)
-	c.gen++
-}
-
-// InvalidateEndpoint drops every cached ASK verdict for the named
-// endpoint — the hook for callers that know its data changed.
-func (c *AskCache) InvalidateEndpoint(name string) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	prefix := name + "\x00"
-	for k := range c.m {
-		if strings.HasPrefix(k, prefix) {
-			delete(c.m, k)
-		}
-	}
-	c.gen++
-}
-
-// Stats snapshots the cache's counters.
-func (c *AskCache) Stats() CacheStats {
-	if c == nil {
-		return CacheStats{}
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return CacheStats{
-		Hits:    atomic.LoadInt64(&c.hits),
-		Misses:  atomic.LoadInt64(&c.misses),
-		Entries: len(c.m),
-	}
-}
-
 // AskQueryFor builds the ASK query that tests whether tp has any
 // solution, with variables canonicalized.
 func AskQueryFor(tp sparql.TriplePattern) string {
 	names := []string{"s", "p", "o"}
-	el := func(e sparql.Elem, i int) string {
-		if e.IsVar() {
-			return "?" + names[i]
-		}
-		return e.Term.String()
-	}
 	// Repeated variables must stay identical in the ASK.
 	seen := map[sparql.Var]string{}
 	idx := 0
@@ -183,7 +41,6 @@ func AskQueryFor(tp sparql.TriplePattern) string {
 		seen[e.Var] = n
 		return n
 	}
-	_ = el
 	return fmt.Sprintf("ASK { %s %s %s }", elv(tp.S), elv(tp.P), elv(tp.O))
 }
 
@@ -226,10 +83,11 @@ func (s *Selection) SameSources(i, j int) bool {
 }
 
 // Selector performs ASK-based source selection over a fixed endpoint
-// list with a shared cache.
+// list with a shared cache of ASK verdicts, shared across queries like
+// the caches the paper enables for all systems in §VI-B.
 type Selector struct {
 	Endpoints []endpoint.Endpoint
-	Cache     *AskCache
+	Cache     *cache.Cache[bool]
 	Handler   *Handler
 	// Presence, when non-nil, answers pattern relevance from offline
 	// statistics summaries. ok=false falls back to an ASK probe.
@@ -240,8 +98,8 @@ type Selector struct {
 }
 
 // NewSelector builds a selector. cache may be nil to disable caching.
-func NewSelector(eps []endpoint.Endpoint, cache *AskCache) *Selector {
-	return &Selector{Endpoints: eps, Cache: cache, Handler: NewHandler(len(eps))}
+func NewSelector(eps []endpoint.Endpoint, c *cache.Cache[bool]) *Selector {
+	return &Selector{Endpoints: eps, Cache: c, Handler: NewHandler(len(eps))}
 }
 
 // Select determines the relevant endpoints for every pattern of the
@@ -271,7 +129,7 @@ func (s *Selector) SelectPatterns(ctx context.Context, patterns []sparql.TripleP
 	for pi, tp := range patterns {
 		sig := PatternSig(tp)
 		for ei, ep := range s.Endpoints {
-			if val, ok := s.Cache.Get(ep.Name(), sig); ok {
+			if val, ok := s.Cache.Get(cache.EndpointKey(ep.Name(), sig)); ok {
 				if val {
 					sel.Sources[pi] = append(sel.Sources[pi], ei)
 				}
@@ -321,7 +179,8 @@ func (s *Selector) SelectPatterns(ctx context.Context, patterns []sparql.TripleP
 			return nil, fmt.Errorf("source selection at %s: %w", tr.Task.EP.Name(), tr.Err)
 		}
 		val := tr.Res.Ask
-		s.Cache.PutAt(cacheGen, s.Endpoints[pr.ep].Name(), PatternSig(patterns[pr.pattern]), val)
+		name := s.Endpoints[pr.ep].Name()
+		s.Cache.PutAt(cacheGen, cache.EndpointKey(name, PatternSig(patterns[pr.pattern])), []string{name}, val)
 		if val {
 			sel.Sources[pr.pattern] = append(sel.Sources[pr.pattern], pr.ep)
 		}

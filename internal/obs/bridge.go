@@ -118,8 +118,8 @@ func RegisterBreakers(r *Registry, snapshot func() []endpoint.BreakerStatus) {
 // RegisterCaches exposes the engine's cache counters — the ASK
 // source-selection, LADE check, COUNT statistics, and subquery-result
 // caches — as one set of families labeled by cache name. Hits count
-// successful reuse only; staleness (TTL expiry on access) and LRU
-// evictions are non-zero only for the bounded subquery cache.
+// successful reuse only; staleness (TTL expiry on access) is non-zero
+// only for the subquery cache, the one cache with a TTL.
 func RegisterCaches(r *Registry, snapshot func() []core.CacheStatEntry) {
 	r.RegisterCollector(func() []Family {
 		entries := snapshot()

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"lusail/internal/cache"
 	"lusail/internal/core"
 	"lusail/internal/endpoint"
 )
@@ -242,7 +243,7 @@ func TestRegisterCoherenceProjection(t *testing.T) {
 	r := NewRegistry()
 	RegisterCoherence(r, func() core.CoherenceStats {
 		return core.CoherenceStats{
-			Endpoints: []core.EndpointVersion{
+			Endpoints: []cache.EndpointVersion{
 				{Name: "EP1", Version: 7, Versioned: true},
 				{Name: "EP2", Version: 3, Versioned: true},
 				{Name: "opaque", Versioned: false}, // no series

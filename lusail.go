@@ -27,6 +27,7 @@ import (
 	"lusail/internal/baseline/fedx"
 	"lusail/internal/baseline/hibiscus"
 	"lusail/internal/baseline/splendid"
+	"lusail/internal/cache"
 	"lusail/internal/core"
 	"lusail/internal/endpoint"
 	"lusail/internal/federation"
@@ -98,10 +99,36 @@ func WithWorkers(n int) Option {
 	return func(c *core.Config) { c.Workers = n }
 }
 
-// WithoutCache disables the ASK / check-query / COUNT caches, forcing
-// every query to re-probe the endpoints.
-func WithoutCache() Option {
-	return func(c *core.Config) { c.DisableCache = true }
+// CachingMode selects how the federation caches planning verdicts
+// (ASK, LADE check, COUNT) and subquery results, and how it fences them
+// against endpoint data changes.
+type CachingMode = cache.Mode
+
+// Caching modes.
+const (
+	// CachingEnforce (the default) caches and fences: the coherence
+	// fence tracks each endpoint's data version, drops the cached state
+	// of an endpoint whose data changed, and rejects any entry whose
+	// version stamps no longer match.
+	CachingEnforce = cache.Enforce
+	// CachingObserve caches and tracks versions but never drops or
+	// rejects: every stale entry served — ASK, check, COUNT or subquery
+	// — is counted in lusail_cache_stale_served_total, and a stale
+	// subquery result is also charged to the query's Completeness
+	// report (a stale planning verdict is not). It measures how much
+	// staleness a workload would see before turning enforcement on, and
+	// is the chaos harness's proof that its oracle detects stale rows.
+	CachingObserve = cache.Observe
+	// CachingUnfenced caches without probing data versions: entries are
+	// reused until TTL, LRU, or explicit invalidation removes them.
+	CachingUnfenced = cache.Unfenced
+	// CachingOff caches nothing: every query re-probes the endpoints.
+	CachingOff = cache.Off
+)
+
+// WithCaching selects the caching mode (default CachingEnforce).
+func WithCaching(mode CachingMode) Option {
+	return func(c *core.Config) { c.Caching = mode }
 }
 
 // WithSubqueryCache retains phase-1 subquery results in a persistent
@@ -126,27 +153,10 @@ func WithSubqueryCache(entries int, ttl time.Duration) Option {
 // — subquery results, ASK / check / COUNT probe outcomes — sourced
 // from an endpoint whose data changed; a larger window amortizes the
 // probe cost over more queries at the price of bounded staleness (at
-// most window old).
+// most window old). Only meaningful under CachingEnforce or
+// CachingObserve.
 func WithCoherenceWindow(d time.Duration) Option {
 	return func(c *core.Config) { c.CoherenceWindow = d }
-}
-
-// WithCoherenceObserve switches the coherence fence to observe-only
-// mode: stale cache entries are served (and counted in
-// lusail_cache_stale_served_total, with the stale sources re-charged
-// to the query's Completeness report) instead of being invalidated.
-// Useful for measuring how much staleness a workload would see before
-// turning enforcement on, and by the chaos harness to prove the
-// oracle detects stale rows.
-func WithCoherenceObserve() Option {
-	return func(c *core.Config) { c.CoherenceObserveOnly = true }
-}
-
-// WithoutCoherence disables data-version probing entirely: cached
-// entries are reused until TTL, LRU, or explicit invalidation removes
-// them, exactly the pre-coherence behavior.
-func WithoutCoherence() Option {
-	return func(c *core.Config) { c.DisableCoherence = true }
 }
 
 // WithInstrumentation wraps every endpoint in a latency-histogram
@@ -433,9 +443,9 @@ func (f *Federation) BreakerStates() []BreakerStatus { return f.engine.BreakerSt
 // wire — the federation's live pool depth.
 func (f *Federation) InFlight() int64 { return f.engine.InFlight() }
 
-// CacheStats snapshots one cache's hit/miss/evict/staleness counters
-// and current size.
-type CacheStats = core.CacheStats
+// CacheStats snapshots one cache's hit/miss/evict/expire counters and
+// current size.
+type CacheStats = cache.Stats
 
 // CacheStatEntry names one engine cache ("ask", "check", "count",
 // "subquery") alongside its counters.
@@ -463,29 +473,30 @@ func (f *Federation) InvalidateEndpointCaches(name string) {
 
 // CoherenceStats snapshots the cache-coherence fence: per-endpoint
 // tracked data versions plus probe, change, fenced, and stale-served
-// counters. Zero-valued when the federation was built
-// WithoutCoherence.
-type CoherenceStats = core.CoherenceStats
+// counters. Zero-valued when the federation was built with
+// CachingUnfenced or CachingOff.
+type CoherenceStats = cache.CoherenceStats
 
 // EndpointVersion is one endpoint's tracked data version.
-type EndpointVersion = core.EndpointVersion
+type EndpointVersion = cache.EndpointVersion
 
 // Staleness verdicts reported in Metrics.Staleness: how fresh the
 // cached state consulted by the query was guaranteed to be.
 const (
-	// StalenessFresh: no cached state was reusable (caches disabled or
-	// cleared), so every answer came from live endpoint data.
-	StalenessFresh = core.StalenessFresh
+	// StalenessFresh: every reuse was fenced against versions probed
+	// at query start, or nothing was cached (CachingOff), so answers
+	// match the endpoints' current data up to mid-query churn.
+	StalenessFresh = cache.StalenessFresh
 	// StalenessBounded: the coherence fence enforced data-version
 	// stamps, so any reused entry matched an endpoint version at most
 	// one probe window old.
-	StalenessBounded = core.StalenessBounded
+	StalenessBounded = cache.StalenessBounded
 	// StalenessUnverified: some endpoints expose no data version, so
 	// entries sourced from them cannot be fenced.
-	StalenessUnverified = core.StalenessUnverified
-	// StalenessUnfenced: the fence is observing only (or disabled);
-	// stale entries may have been served.
-	StalenessUnfenced = core.StalenessUnfenced
+	StalenessUnverified = cache.StalenessUnverified
+	// StalenessUnfenced: the fence is observing only (CachingObserve)
+	// or absent (CachingUnfenced); stale entries may have been served.
+	StalenessUnfenced = cache.StalenessUnfenced
 )
 
 // CoherenceStats reports the coherence fence's per-endpoint tracked
@@ -708,7 +719,7 @@ func NewBaseline(name string, eps []Endpoint) (Engine, error) {
 		}
 		return hibiscus.New(eps, sum, fedx.Config{}), nil
 	case "naive":
-		return federation.NewNaive(eps, federation.NewAskCache()), nil
+		return federation.NewNaive(eps, cache.New[bool](cache.PlanningEntries, 0, nil)), nil
 	default:
 		return nil, fmt.Errorf("lusail: unknown baseline %q", name)
 	}

@@ -64,7 +64,7 @@ func TestOptionsApply(t *testing.T) {
 		WithDelayPolicy(DelayMu2Sigma),
 		WithBindBlockSize(5),
 		WithWorkers(2),
-		WithoutCache(),
+		WithCaching(CachingOff),
 	)
 	if _, err := fed.Query(context.Background(), crossQuery); err != nil {
 		t.Fatal(err)
